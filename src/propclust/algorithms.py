@@ -69,20 +69,13 @@ class Trace:
         return [e.to_json() for e in self.events]
 
 
-def _distance_table(instance):
-    return [
-        [instance.d_ac(i, j) for j in range(instance.num_candidates)]
-        for i in range(instance.n)
-    ]
-
-
 def greedy_capture(instance):
     """Quota-ball sweep; returns (Outcome, Trace)."""
     if instance.num_candidates == 0:
         raise ValueError("empty candidate set")
     n, k = instance.n, instance.k
     m = quota(n, k, 1, 1)
-    table = _distance_table(instance)
+    table = instance.dist_rows
     remaining = list(range(n))
     opened = []
     opened_set = set()
@@ -149,9 +142,8 @@ def expanding_approvals(instance, deduct_order=None):
     if deduct_order is None:
         deduct_order = closest_first_order
     n, k = instance.n, instance.k
-    table = _distance_table(instance)
+    table = instance.dist_rows
     budgets = [Fraction(k, n) for _ in range(n)]
-    levels = sorted({table[i][j] for i in range(n) for j in range(instance.num_candidates)})
     opened = []
     opened_set = set()
     events = []
@@ -159,7 +151,7 @@ def expanding_approvals(instance, deduct_order=None):
     def remaining_count():
         return sum(1 for b in budgets if b > 0)
 
-    for delta in levels:
+    for delta in instance.levels:
         if len(opened) == k or sum(budgets) < 1:
             break
         limit = delta + TAU
@@ -219,7 +211,7 @@ def fair_greedy_capture(instance, q, seed):
     n, k = instance.n, instance.k
     m = quota(n, k, q, 1)
     rng = random.Random(seed)
-    daa = [[instance.d_aa(i, j) for j in range(n)] for i in range(n)]
+    daa = instance.agent_rows
     cand_at_point = {}
     for idx, c in enumerate(instance.candidates):
         cand_at_point.setdefault(c, idx)

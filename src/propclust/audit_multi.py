@@ -12,11 +12,10 @@ lower bound on the exact one.
 from __future__ import annotations
 
 import heapq
-import math
 from fractions import Fraction
 from itertools import combinations
 
-from .audit_single import max_sum_ratio, ratio, top_group
+from .audit_single import dists_to_centers, max_sum_ratio, ratio, top_group
 from .instance import quota
 from .reports import CAP_EXHAUSTED, EXACT, AuditReport, Witness
 
@@ -35,30 +34,10 @@ def _subset_status(instance, size_cap, gamma):
     return CAP_EXHAUSTED
 
 
-def _dq_matrix(instance):
-    """Per agent, the row of distances to every candidate index."""
-    return [
-        [instance.d_ac(i, j) for j in range(instance.num_candidates)]
-        for i in range(instance.n)
-    ]
-
-
-def _dq_to_centers(instance, outcome, q):
-    """Per agent, distance to the q-th closest center; inf when |W| < q."""
-    centers = outcome.sorted_centers()
-    if len(centers) < q:
-        return [math.inf] * instance.n
-    out = []
-    for i in range(instance.n):
-        dists = [instance.d_ac(i, c) for c in centers]
-        out.append(heapq.nsmallest(q, dists)[-1])
-    return out
-
-
 def q_group_min_ratio(instance, outcome, q, agents, cands):
     """Re-evaluate a q-core witness: the worst improvement ratio of
     ``agents`` measured at their q-th closest point of ``cands``."""
-    dqW = _dq_to_centers(instance, outcome, q)
+    dqW = dists_to_centers(instance, outcome, q)
     vals = []
     for i in agents:
         dqc = heapq.nsmallest(q, (instance.d_ac(i, j) for j in cands))[-1]
@@ -69,7 +48,7 @@ def q_group_min_ratio(instance, outcome, q, agents, cands):
 def q_group_sum_ratio(instance, outcome, q, agents, cands):
     """Re-evaluate a q-transferable-core witness (ratio of summed q-th
     distances)."""
-    dqW = _dq_to_centers(instance, outcome, q)
+    dqW = dists_to_centers(instance, outcome, q)
     sw = sum(dqW[i] for i in agents)
     sv = sum(
         heapq.nsmallest(q, (instance.d_ac(i, j) for j in cands))[-1] for i in agents
@@ -85,31 +64,43 @@ def q_core_min_alpha(instance, outcome, q, size_cap=None):
         size_cap = max(q, default_size_cap(instance))
     if size_cap < q:
         raise ValueError("size_cap must be at least q")
+    params = {"q": q, "size_cap": size_cap}
+    return _q_scan(instance, outcome, "qcore", params, 1, ratio, top_group)
+
+
+def _q_scan(instance, outcome, notion, params, gamma, term, score):
+    """Scan candidate subsets C' of sizes q .. size_cap for the deviation
+    that ``score`` values highest.
+
+    Each agent contributes ``term(d_q(i, W), d_q(i, C'))``; ``score`` maps
+    those terms and the group size quota(n, k, |C'|, gamma) to (value,
+    group), with group None when no group qualifies.  The first subset in
+    size-then-lexicographic order with the largest value is the witness.
+    """
+    q, size_cap = params["q"], params["size_cap"]
     n, k = instance.n, instance.k
-    dqW = _dq_to_centers(instance, outcome, q)
-    rows = _dq_matrix(instance)
-    cand_ids = range(instance.num_candidates)
+    dqW = dists_to_centers(instance, outcome, q)
+    rows = instance.dist_rows
     best = None
     top = min(size_cap, instance.num_candidates, k)
     for size in range(q, top + 1):
-        m = quota(n, k, size, 1)
+        m = quota(n, k, size, gamma)
         if m > n:
             break
-        for csub in combinations(cand_ids, size):
-            ratios = [
-                ratio(dqW[i], heapq.nsmallest(q, (rows[i][j] for j in csub))[-1])
-                for i in range(n)
+        for csub in combinations(range(instance.num_candidates), size):
+            terms = [
+                term(w, heapq.nsmallest(q, (row[j] for j in csub))[-1])
+                for w, row in zip(dqW, rows)
             ]
-            value, group = top_group(ratios, m)
-            if best is None or value > best[0]:
+            value, group = score(terms, m)
+            if group is not None and (best is None or value > best[0]):
                 best = (value, csub, group, size)
-    status = _subset_status(instance, size_cap, 1)
-    params = {"q": q, "size_cap": size_cap}
+    status = _subset_status(instance, size_cap, gamma)
     if best is None or best[0] < 1:
-        return AuditReport("qcore", params, 1, None, status)
+        return AuditReport(notion, params, 1, None, status)
     value, csub, group, size = best
     witness = Witness(agents=group, candidates=csub, ell=size)
-    return AuditReport("qcore", params, value, witness, status)
+    return AuditReport(notion, params, value, witness, status)
 
 
 def q_if_min_beta(instance, outcome, q):
@@ -123,7 +114,7 @@ def q_if_min_beta(instance, outcome, q):
         raise ValueError("q must satisfy 1 <= q <= |W|")
     n, k = instance.n, instance.k
     count = quota(n, k, q, 1)
-    dqW = _dq_to_centers(instance, outcome, q)
+    dqW = dists_to_centers(instance, outcome, q)
     best = None
     for i in range(n):
         r = instance.space.neighborhood_radius(instance.agents[i], instance.agents, count)
@@ -147,28 +138,5 @@ def q_tc_min_alpha(instance, outcome, q, gamma=1, size_cap=None):
         size_cap = max(q, default_size_cap(instance))
     if q < 1 or q > size_cap:
         raise ValueError("q must satisfy 1 <= q <= size_cap")
-    n, k = instance.n, instance.k
-    dqW = _dq_to_centers(instance, outcome, q)
-    rows = _dq_matrix(instance)
-    cand_ids = range(instance.num_candidates)
-    best = None
-    top = min(size_cap, instance.num_candidates, k)
-    for size in range(q, top + 1):
-        m = quota(n, k, size, g)
-        if m > n:
-            break
-        for csub in combinations(cand_ids, size):
-            pairs = [
-                (dqW[i], heapq.nsmallest(q, (rows[i][j] for j in csub))[-1])
-                for i in range(n)
-            ]
-            value, group = max_sum_ratio(pairs, m)
-            if group is not None and (best is None or value > best[0]):
-                best = (value, csub, group, size)
-    status = _subset_status(instance, size_cap, g)
     params = {"q": q, "gamma": g, "size_cap": size_cap}
-    if best is None or best[0] < 1:
-        return AuditReport("qtc", params, 1, None, status)
-    value, csub, group, size = best
-    witness = Witness(agents=group, candidates=csub, ell=size)
-    return AuditReport("qtc", params, value, witness, status)
+    return _q_scan(instance, outcome, "qtc", params, g, lambda w, v: (w, v), max_sum_ratio)

@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .metric import TAU
+from .audit_single import dists_to_centers
 from .instance import quota
+from .metric import TAU
 from .reports import CAP_EXHAUSTED, EXACT, PASS, VIOLATION, AuditReport, RankViolation
 
 
@@ -41,12 +42,7 @@ class _BudgetExceeded(Exception):
 def thresholds(instance):
     """Sorted distinct agent-candidate distances; the only y values at
     which any approval set can change."""
-    vals = {
-        instance.d_ac(i, j)
-        for i in range(instance.n)
-        for j in range(instance.num_candidates)
-    }
-    return sorted(vals)
+    return list(instance.levels)
 
 
 def _report(notion, value, witness, status):
@@ -60,18 +56,15 @@ def rank_jr_check(instance, outcome):
     m = quota(n, k, 1, 1)
     if m > n:
         return _report("rank-jr", PASS, None, EXACT)
-    centers = outcome.sorted_centers()
-    dW = [
-        min((instance.d_ac(i, c) for c in centers), default=None)
-        for i in range(n)
-    ]
-    for y in thresholds(instance):
+    dW = dists_to_centers(instance, outcome)
+    rows = instance.dist_rows
+    for y in instance.levels:
         limit = y + TAU
-        uncovered = [i for i in range(n) if dW[i] is None or dW[i] > limit]
+        uncovered = [i for i in range(n) if dW[i] > limit]
         if len(uncovered) < m:
             continue
         for j in range(instance.num_candidates):
-            group = tuple(i for i in uncovered if instance.d_ac(i, j) <= limit)
+            group = tuple(i for i in uncovered if rows[i][j] <= limit)
             if len(group) >= m:
                 witness = RankViolation(
                     axiom="rank-jr",
@@ -87,13 +80,11 @@ def rank_jr_check(instance, outcome):
 def _approval_columns(instance, y):
     """Per candidate, a bitmask of the agents approving it at threshold y."""
     limit = y + TAU
-    cols = []
-    for j in range(instance.num_candidates):
-        mask = 0
-        for i in range(instance.n):
-            if instance.d_ac(i, j) <= limit:
-                mask |= 1 << i
-        cols.append(mask)
+    cols = [0] * instance.num_candidates
+    for i, row in enumerate(instance.dist_rows):
+        for j, d in enumerate(row):
+            if d <= limit:
+                cols[j] |= 1 << i
     return cols
 
 
@@ -101,10 +92,10 @@ def _winner_masks(instance, centers, y):
     """Per agent, a bitmask over positions of ``centers`` within y."""
     limit = y + TAU
     masks = []
-    for i in range(instance.n):
+    for row in instance.dist_rows:
         mask = 0
         for p, c in enumerate(centers):
-            if instance.d_ac(i, c) <= limit:
+            if row[c] <= limit:
                 mask |= 1 << p
         masks.append(mask)
     return masks
@@ -128,17 +119,52 @@ def _covered_winners(centers, wmasks, group):
     return tuple(centers[p] for p in _bits(seen))
 
 
-def _pjr_scan(instance, outcome, caps, notion):
+def _cover_sets(instance, centers, wmasks):
+    """Yield (ell, m, umask) for every cover set worth searching.
+
+    For ell = 1 .. k while the quota m = quota(n, k, ell) is at most n, and
+    for each set Y of min(ell - 1, |W|) center positions in combinations
+    order, umask holds the agents approving no center outside Y, so any
+    group inside it approves fewer than ell centers.  Cover sets leaving
+    fewer than m such agents are skipped.
+    """
     n, k = instance.n, instance.k
+    for ell in range(1, k + 1):
+        m = quota(n, k, ell, 1)
+        if m > n:
+            return
+        for ysub in combinations(range(len(centers)), min(ell - 1, len(centers))):
+            ymask = 0
+            for p in ysub:
+                ymask |= 1 << p
+            umask = 0
+            for i in range(n):
+                if wmasks[i] & ~ymask == 0:
+                    umask |= 1 << i
+            if umask.bit_count() >= m:
+                yield ell, m, umask
+
+
+def _violation(notion, y, ell, group, cands, centers, wmasks):
+    return RankViolation(
+        axiom=notion,
+        threshold_y=y,
+        ell=ell,
+        group=group,
+        witness_candidates=cands,
+        covered_winners=_covered_winners(centers, wmasks, group),
+    )
+
+
+def _threshold_scan(instance, outcome, caps, notion, find):
+    """Run ``find`` at every threshold until it returns a violation."""
     centers = outcome.sorted_centers()
     budget = [caps.node_budget]
     try:
-        for y in thresholds(instance):
+        for y in instance.levels:
             cols = _approval_columns(instance, y)
             wmasks = _winner_masks(instance, centers, y)
-            hit = _pjr_at_threshold(
-                instance, centers, cols, wmasks, y, budget, notion
-            )
+            hit = find(instance, centers, cols, wmasks, y, budget, notion)
             if hit is not None:
                 return _report(notion, VIOLATION, hit, EXACT)
     except _BudgetExceeded:
@@ -147,113 +173,56 @@ def _pjr_scan(instance, outcome, caps, notion):
 
 
 def _pjr_at_threshold(instance, centers, cols, wmasks, y, budget, notion):
-    n, k = instance.n, instance.k
     nc = instance.num_candidates
-    for ell in range(1, k + 1):
-        m = quota(n, k, ell, 1)
-        if m > n:
-            break
-        cover_size = min(ell - 1, len(centers))
-        for ysub in combinations(range(len(centers)), cover_size):
-            ymask = 0
-            for p in ysub:
-                ymask |= 1 << p
-            umask = 0
-            ucount = 0
-            for i in range(n):
-                if wmasks[i] & ~ymask == 0:
-                    umask |= 1 << i
-                    ucount += 1
-            if ucount < m:
+    for ell, m, umask in _cover_sets(instance, centers, wmasks):
+        frequent = [j for j in range(nc) if (cols[j] & umask).bit_count() >= m]
+        if len(frequent) < ell:
+            continue
+        for tsub in combinations(frequent, ell):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise _BudgetExceeded
+            inter = umask
+            for j in tsub:
+                inter &= cols[j]
+                if inter.bit_count() < m:
+                    break
+            if inter.bit_count() >= m:
+                return _violation(notion, y, ell, tuple(_bits(inter)), tsub, centers, wmasks)
+    return None
+
+
+def _pjr_plus_at_threshold(instance, centers, cols, wmasks, y, budget, notion):
+    center_set = set(centers)
+    for ell, m, umask in _cover_sets(instance, centers, wmasks):
+        for j in range(instance.num_candidates):
+            if j in center_set:
                 continue
-            frequent = [
-                j for j in range(nc) if (cols[j] & umask).bit_count() >= m
-            ]
-            if len(frequent) < ell:
-                continue
-            for tsub in combinations(frequent, ell):
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise _BudgetExceeded
-                inter = umask
-                for j in tsub:
-                    inter &= cols[j]
-                    if inter.bit_count() < m:
-                        break
-                if inter.bit_count() >= m:
-                    group = tuple(_bits(inter))
-                    return RankViolation(
-                        axiom=notion,
-                        threshold_y=y,
-                        ell=ell,
-                        group=group,
-                        witness_candidates=tsub,
-                        covered_winners=_covered_winners(centers, wmasks, group),
-                    )
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise _BudgetExceeded
+            inter = cols[j] & umask
+            if inter.bit_count() >= m:
+                return _violation(notion, y, ell, tuple(_bits(inter)), (j,), centers, wmasks)
     return None
 
 
 def rank_pjr_check(instance, outcome, caps=Caps()):
     """At every threshold, every ell-large group sharing ell approved
     candidates must collectively approve ell centers."""
-    return _pjr_scan(instance, outcome, caps, "rank-pjr")
+    return _threshold_scan(instance, outcome, caps, "rank-pjr", _pjr_at_threshold)
 
 
 def dprf_check(instance, outcome, caps=Caps()):
     """Discrete proportionally-representative fairness; same condition as
     the ell-cohesive threshold axiom, reported under its own name."""
-    return _pjr_scan(instance, outcome, caps, "dprf")
+    return _threshold_scan(instance, outcome, caps, "dprf", _pjr_at_threshold)
 
 
 def rank_pjr_plus_check(instance, outcome, caps=Caps()):
     """Strengthening where a group sharing even one unselected candidate is
     already owed ell centers."""
-    notion = "rank-pjr+"
-    n, k = instance.n, instance.k
-    centers = outcome.sorted_centers()
-    center_set = set(centers)
-    budget = [caps.node_budget]
-    for y in thresholds(instance):
-        cols = _approval_columns(instance, y)
-        wmasks = _winner_masks(instance, centers, y)
-        for ell in range(1, k + 1):
-            m = quota(n, k, ell, 1)
-            if m > n:
-                break
-            cover_size = min(ell - 1, len(centers))
-            for ysub in combinations(range(len(centers)), cover_size):
-                ymask = 0
-                for p in ysub:
-                    ymask |= 1 << p
-                umask = 0
-                ucount = 0
-                for i in range(n):
-                    if wmasks[i] & ~ymask == 0:
-                        umask |= 1 << i
-                        ucount += 1
-                if ucount < m:
-                    continue
-                for j in range(instance.num_candidates):
-                    if j in center_set:
-                        continue
-                    budget[0] -= 1
-                    if budget[0] < 0:
-                        return _report(notion, PASS, None, CAP_EXHAUSTED)
-                    inter = cols[j] & umask
-                    if inter.bit_count() >= m:
-                        group = tuple(_bits(inter))
-                        witness = RankViolation(
-                            axiom=notion,
-                            threshold_y=y,
-                            ell=ell,
-                            group=group,
-                            witness_candidates=(j,),
-                            covered_winners=_covered_winners(
-                                centers, wmasks, group
-                            ),
-                        )
-                        return _report(notion, VIOLATION, witness, EXACT)
-    return _report(notion, PASS, None, EXACT)
+    return _threshold_scan(instance, outcome, caps, "rank-pjr+", _pjr_plus_at_threshold)
 
 
 def uprf_check(instance, outcome, caps=Caps()):
@@ -265,12 +234,13 @@ def uprf_check(instance, outcome, caps=Caps()):
     on the group side.
     """
     notion = "uprf"
-    n, k = instance.n, instance.k
+    n = instance.n
     centers = outcome.sorted_centers()
+    daa = instance.agent_rows
     yvals = {0}
     for i in range(n):
         for j in range(i + 1, n):
-            yvals.add(instance.d_aa(i, j))
+            yvals.add(daa[i][j])
     budget = [caps.node_budget]
     try:
         for y in sorted(yvals):
@@ -279,37 +249,14 @@ def uprf_check(instance, outcome, caps=Caps()):
             adj = [0] * n
             for i in range(n):
                 for j in range(i + 1, n):
-                    if instance.d_aa(i, j) <= limit:
+                    if daa[i][j] <= limit:
                         adj[i] |= 1 << j
                         adj[j] |= 1 << i
-            for ell in range(1, k + 1):
-                m = quota(n, k, ell, 1)
-                if m > n:
-                    break
-                cover_size = min(ell - 1, len(centers))
-                for ysub in combinations(range(len(centers)), cover_size):
-                    ymask = 0
-                    for p in ysub:
-                        ymask |= 1 << p
-                    umask = 0
-                    for i in range(n):
-                        if wmasks[i] & ~ymask == 0:
-                            umask |= 1 << i
-                    if umask.bit_count() < m:
-                        continue
-                    group = _clique_at_least(adj, umask, m, budget)
-                    if group is not None:
-                        group = tuple(group)
-                        witness = RankViolation(
-                            axiom=notion,
-                            threshold_y=y,
-                            ell=ell,
-                            group=group,
-                            covered_winners=_covered_winners(
-                                centers, wmasks, group
-                            ),
-                        )
-                        return _report(notion, VIOLATION, witness, EXACT)
+            for ell, m, umask in _cover_sets(instance, centers, wmasks):
+                group = _clique_at_least(adj, umask, m, budget)
+                if group is not None:
+                    witness = _violation(notion, y, ell, tuple(group), (), centers, wmasks)
+                    return _report(notion, VIOLATION, witness, EXACT)
     except _BudgetExceeded:
         return _report(notion, PASS, None, CAP_EXHAUSTED)
     return _report(notion, PASS, None, EXACT)

@@ -11,6 +11,7 @@ arithmetic stays exact whenever the metric is exact.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -34,16 +35,13 @@ def ratio(num, den):
     return Fraction(num) / Fraction(den)
 
 
-def dists_to_centers(instance, outcome):
-    """Per agent index, the distance to the nearest center (inf if none)."""
+def dists_to_centers(instance, outcome, q=1):
+    """Per agent index, the distance to the q-th closest center; inf when
+    the outcome holds fewer than q centers."""
     centers = outcome.sorted_centers()
-    out = []
-    for i in range(instance.n):
-        if centers:
-            out.append(min(instance.d_ac(i, c) for c in centers))
-        else:
-            out.append(math.inf)
-    return out
+    if len(centers) < q:
+        return [math.inf] * instance.n
+    return [heapq.nsmallest(q, (row[c] for c in centers))[-1] for row in instance.dist_rows]
 
 
 def top_group(ratios, m):
@@ -81,7 +79,7 @@ def pf_min_alpha(instance, outcome):
         for j in range(instance.num_candidates):
             if j in outcome.centers:
                 continue
-            ratios = [ratio(dW[i], instance.d_ac(i, j)) for i in range(n)]
+            ratios = [ratio(w, row[j]) for w, row in zip(dW, instance.dist_rows)]
             value, group = top_group(ratios, m)
             if best is None or value > best[0]:
                 best = (value, j, group)
@@ -132,7 +130,7 @@ def tc_min_alpha(instance, outcome, gamma=1):
         for j in range(instance.num_candidates):
             if j in outcome.centers:
                 continue
-            pairs = [(dW[i], instance.d_ac(i, j)) for i in range(n)]
+            pairs = [(w, row[j]) for w, row in zip(dW, instance.dist_rows)]
             value, group = max_sum_ratio(pairs, m)
             if group is not None and (best is None or value > best[0]):
                 best = (value, j, group)

@@ -45,7 +45,7 @@ def parse_instance(obj):
         candidates = obj.get("candidates", "all")
         if candidates != "all":
             candidates = tuple(candidates)
-        return Instance(space, tuple(obj["agents"]), candidates, int(obj["k"]))
+        return Instance(space, tuple(obj["agents"]), candidates, obj["k"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance file: {exc}") from exc
 
@@ -106,20 +106,20 @@ RANK_NOTIONS = ("rank-jr", "rank-pjr", "rank-pjr+", "dprf", "uprf")
 
 def run_audit(instance, outcome, notion, gamma=None, q=None, cap=None, caps=None):
     caps = caps or audit_rank.Caps()
+    gamma = 1 if gamma is None else gamma
+    q = 1 if q is None else q
     if notion == "pf":
         return audit_single.pf_min_alpha(instance, outcome)
     if notion == "if":
         return audit_single.if_min_beta(instance, outcome)
     if notion == "tc":
-        return audit_single.tc_min_alpha(instance, outcome, gamma if gamma is not None else 1)
+        return audit_single.tc_min_alpha(instance, outcome, gamma)
     if notion == "qcore":
-        return audit_multi.q_core_min_alpha(instance, outcome, q or 1, cap)
+        return audit_multi.q_core_min_alpha(instance, outcome, q, cap)
     if notion == "qif":
-        return audit_multi.q_if_min_beta(instance, outcome, q or 1)
+        return audit_multi.q_if_min_beta(instance, outcome, q)
     if notion == "qtc":
-        return audit_multi.q_tc_min_alpha(
-            instance, outcome, q or 1, gamma if gamma is not None else 1, cap
-        )
+        return audit_multi.q_tc_min_alpha(instance, outcome, q, gamma, cap)
     if notion == "rank-jr":
         return audit_rank.rank_jr_check(instance, outcome)
     if notion == "rank-pjr":
@@ -136,14 +136,15 @@ def run_audit(instance, outcome, notion, gamma=None, q=None, cap=None, caps=None
 def cmd_audit(args):
     try:
         instance = parse_instance(load_json(args.input))
-        outcome_obj = load_json(args.outcome)
-        outcome = Outcome(frozenset(int(c) for c in outcome_obj["W"]))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        outcome = Outcome(load_json(args.outcome)["W"])
+        gamma = Fraction(args.gamma) if args.gamma is not None else None
+    except (OSError, ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
+    except TypeError as exc:
+        return _fail(f"malformed outcome file: {exc}")
     problems = validate(instance, outcome)
     if problems:
         return _fail(f"invalid outcome: {problems}")
-    gamma = Fraction(args.gamma) if args.gamma is not None else None
     try:
         report = run_audit(instance, outcome, args.notion, gamma, args.q, args.cap)
     except ValueError as exc:

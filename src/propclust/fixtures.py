@@ -172,20 +172,6 @@ def qtc_blocks(n=10, k=4):
     return inst, labels, Outcome(centers)
 
 
-FIXTURE_KEYS = (
-    "fig2a",
-    "fig2b",
-    "fig3a",
-    "fig3b",
-    "fig4a",
-    "fig4b",
-    "fig4c",
-    "path_uprf",
-    "lb_tc",
-    "qtc_blocks",
-)
-
-
 def outcome_of(labels, names, origin="external"):
     return Outcome(frozenset(labels[x] for x in names), origin)
 

@@ -79,11 +79,6 @@ def random_instance(rng, max_n=12, max_c=12, max_k=5, mode=None):
     return inst
 
 
-def instance_corpus(seed, count, max_n=12, max_c=12, max_k=5, mode=None):
-    rng = random.Random(seed)
-    return [random_instance(rng, max_n, max_c, max_k, mode) for _ in range(count)]
-
-
 def instance_to_file(instance):
     """InstanceFile JSON object for an instance (graph spaces are not
     reconstructable from distances, so those emit a matrix)."""

@@ -9,8 +9,10 @@ keeps co-located candidates distinguishable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .metric import MetricSpace
 
@@ -33,6 +35,17 @@ def quota(n, k, ell=1, gamma=1):
     return math.ceil(g * ell * n / Fraction(k))
 
 
+def _as_id(value, what):
+    """``value`` as an int; bools and non-integral values raise ValueError
+    rather than being rounded."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """Agents, candidates, and committee size over a shared metric space.
@@ -40,6 +53,13 @@ class Instance:
     ``agents`` and ``candidates`` are tuples of point ids.  Duplicate agent
     entries are allowed (co-located voters are distinct agents); candidate
     entries are distinct selectable slots even when co-located.
+
+    Rules and auditors read three lazily built, read-only tables: the
+    agent-by-candidate distances ``dist_rows``, the agent-by-agent distances
+    ``agent_rows`` and the sorted distinct agent-candidate distances
+    ``levels``.  ``d_ac`` and ``d_aa`` read the metric space directly; the
+    brute-force oracle uses only those, so it stays independent of the
+    tables.
     """
 
     space: MetricSpace
@@ -48,12 +68,13 @@ class Instance:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "agents", tuple(int(a) for a in self.agents))
+        object.__setattr__(self, "agents", tuple(_as_id(a, "agent") for a in self.agents))
         if self.candidates == "all":
             cands = tuple(range(self.space.num_points))
         else:
-            cands = tuple(int(c) for c in self.candidates)
+            cands = tuple(_as_id(c, "candidate") for c in self.candidates)
         object.__setattr__(self, "candidates", cands)
+        object.__setattr__(self, "k", _as_id(self.k, "k"))
         if len(self.agents) < 1:
             raise ValueError("need at least one agent")
         if self.k < 1:
@@ -82,6 +103,24 @@ class Instance:
         """Distance between two agent indices."""
         return self.space.dist(self.agents[i], self.agents[j])
 
+    @cached_property
+    def dist_rows(self):
+        """Per agent index, the distances to every candidate index."""
+        dist = self.space.dist
+        return tuple(tuple(dist(a, c) for c in self.candidates) for a in self.agents)
+
+    @cached_property
+    def agent_rows(self):
+        """Per agent index, the distances to every agent index."""
+        dist = self.space.dist
+        return tuple(tuple(dist(a, b) for b in self.agents) for a in self.agents)
+
+    @cached_property
+    def levels(self):
+        """Sorted distinct agent-candidate distances: the only radii at
+        which any ball around a candidate gains an agent."""
+        return tuple(sorted({d for row in self.dist_rows for d in row}))
+
     def agents_within_candidates(self):
         """True when every agent sits on some candidate point (N inside C)."""
         cand_points = set(self.candidates)
@@ -100,7 +139,8 @@ class Outcome:
     origin: str = "external"
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", frozenset(int(c) for c in self.centers))
+        centers = frozenset(_as_id(c, "center") for c in self.centers)
+        object.__setattr__(self, "centers", centers)
 
     def sorted_centers(self):
         return tuple(sorted(self.centers))

@@ -113,7 +113,8 @@ class MetricSpace:
 
     @classmethod
     def from_points(cls, coords, norm="l2"):
-        """Build from coordinate rows under an lp norm ("l1", "l2", "linf")."""
+        """Build from finite coordinate rows under an lp norm ("l1", "l2",
+        "linf")."""
         if norm not in _NORMS:
             raise ValueError(f"unknown norm {norm!r}")
         pts = [tuple(float(x) for x in row) for row in coords]
@@ -122,6 +123,8 @@ class MetricSpace:
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise ValueError("inconsistent dimension")
+        if not all(map(math.isfinite, (x for p in pts for x in p))):
+            raise ValueError("non-finite coordinate")
         n = len(pts)
         d = [[0.0] * n for _ in range(n)]
         for i in range(n):

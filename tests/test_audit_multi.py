@@ -12,7 +12,7 @@ from propclust import (
     tc_min_alpha,
 )
 from propclust import fixtures
-from propclust.audit_multi import q_group_min_ratio
+from propclust.audit_multi import q_group_min_ratio, q_group_sum_ratio
 from propclust.fixtures import outcome_of
 from propclust.reports import CAP_EXHAUSTED, EXACT
 from propclust import oracle as orc
@@ -60,6 +60,20 @@ def test_qcore_witness_soundness(small_corpus):
             rep = q_core_min_alpha(inst, W, q)
             if rep.witness is not None:
                 again = q_group_min_ratio(
+                    inst, W, q, rep.witness.agents, rep.witness.candidates
+                )
+                assert again == rep.value
+
+
+def test_qtc_witness_soundness(small_corpus):
+    for inst in small_corpus[:30]:
+        W, _ = expanding_approvals(inst)
+        for q in (1, 2):
+            if q > inst.k:
+                continue
+            rep = q_tc_min_alpha(inst, W, q)
+            if rep.witness is not None:
+                again = q_group_sum_ratio(
                     inst, W, q, rep.witness.agents, rep.witness.candidates
                 )
                 assert again == rep.value

@@ -128,13 +128,65 @@ def test_audit_uprf_pass_exit0(tmp_path, capsys):
     assert run_cli("audit", "--notion", "uprf", "--input", inst_path, "--outcome", w_path) == 0
 
 
+# (outcome file contents, extra audit arguments); each must exit 2
+INVALID_AUDIT_INPUTS = [
+    ({"W": [99]}, ()),
+    ({"W": 5}, ()),
+    ([0], ()),
+    ({"W": [[1]]}, ()),
+    ({"W": [0.7]}, ()),
+    ({"W": [True]}, ()),
+    ({"W": [0]}, ("--gamma", "abc")),
+    ({"W": [0]}, ("--gamma", "1/0")),
+]
+
+
 def test_audit_invalid_outcome_exit2(tmp_path, capsys):
     from propclust import fixtures
 
     inst, L = fixtures.path_uprf()
     inst_path = write(tmp_path, "path.json", instance_to_file(inst))
-    w_path = write(tmp_path, "w.json", {"W": [99]})
-    assert run_cli("audit", "--notion", "pf", "--input", inst_path, "--outcome", w_path) == 2
+    for outcome, extra in INVALID_AUDIT_INPUTS:
+        w_path = write(tmp_path, "w.json", outcome)
+        code = run_cli(
+            "audit", "--notion", "tc", *extra, "--input", inst_path, "--outcome", w_path
+        )
+        captured = capsys.readouterr()
+        assert code == 2, (outcome, extra)
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err)
+
+
+def test_audit_q_zero_rejected(tmp_path, capsys):
+    from propclust import fixtures
+
+    inst, L = fixtures.fig2a(5)
+    inst_path = write(tmp_path, "fig2a.json", instance_to_file(inst))
+    w_path = write(tmp_path, "w.json", {"W": sorted(L[x] for x in ("1", "2", "3", "6", "9"))})
+    for notion in ("qcore", "qif", "qtc"):
+        code = run_cli(
+            "audit", "--notion", notion, "--q", "0", "--input", inst_path, "--outcome", w_path
+        )
+        captured = capsys.readouterr()
+        assert code == 2, notion
+        assert captured.out == ""
+        assert "q must satisfy" in json.loads(captured.err)["error"]
+
+
+def test_solve_non_integral_ids_exit2(tmp_path, capsys):
+    base = generate_family("graph", 4, 2, 0)
+    for key, value in (
+        ("agents", [0.7, 1]),
+        ("agents", [True, 1]),
+        ("candidates", [0, 1.5]),
+        ("k", 2.9),
+        ("k", True),
+    ):
+        path = write(tmp_path, "bad.json", dict(base, **{key: value}))
+        assert run_cli("solve", "--alg", "gc", "--input", path) == 2, (key, value)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be an integer" in json.loads(captured.err)["error"]
 
 
 def test_audit_require_exact_exit3(tmp_path, capsys):

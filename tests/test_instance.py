@@ -93,6 +93,24 @@ def test_instance_construction_errors():
         Instance(space, (0,), (0, 3), 1)
 
 
+def test_non_integral_ids_rejected():
+    space = MetricSpace.from_matrix([[0, 1], [1, 0]])
+    for agents, cands, k in (
+        ((0.7,), "all", 1),
+        ((True,), "all", 1),
+        ((0,), (1.5,), 1),
+        ((0,), "all", 2.9),
+        ((0,), "all", True),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Instance(space, agents, cands, k)
+    for centers in ([0.7], [True], ["1"]):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Outcome(centers)
+    assert Instance(space, [1, 0], [1], 2).agents == (1, 0)
+    assert Outcome([1, 0, 1]).centers == frozenset({0, 1})
+
+
 def test_duplicate_agents_allowed():
     space = MetricSpace.from_matrix([[0, 1], [1, 0]])
     inst = Instance(space, (0, 0, 1), "all", 2)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -212,3 +213,9 @@ def test_points_triangle_sampled(seed, n):
     for _ in range(50):
         i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
         assert space.dist(i, k) <= space.dist(i, j) + space.dist(j, k) + 1e-9
+
+
+def test_from_points_rejects_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            MetricSpace.from_points([[0.0, 0.0], [bad, 1.0]])
