@@ -6,6 +6,12 @@ treat every large-and-cohesive group proportionally.  Approval sets change
 only at realized agent-candidate distances, so auditing the finite sorted
 threshold list is equivalent to auditing all real y.
 
+All five axioms run through one incremental scan.  The (distance, row,
+bit) pairs are sorted once and OR-ed into the approval, adjacency and
+winner bitmasks as the threshold grows, so the within-y rule (a distance
+at most y, with slack TAU) lives in one place, ``_growing_masks``; each
+axiom supplies only what it searches at one threshold.
+
 The justified-representation check runs in polynomial time.  The stronger
 checks enumerate (cohesive target set, cover set) pairs exactly: a violating
 group always induces such a pair, and any found pair certifies a violation,
@@ -20,9 +26,10 @@ branch and bound under the same budget rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
+from operator import itemgetter
 
-from .audit_single import dists_to_centers
 from .instance import quota
 from .metric import TAU
 from .reports import CAP_EXHAUSTED, EXACT, PASS, VIOLATION, AuditReport, RankViolation
@@ -45,78 +52,44 @@ def thresholds(instance):
     return list(instance.levels)
 
 
-def _report(notion, value, witness, status):
-    return AuditReport(notion, {}, value, witness, status)
+def _growing_masks(size, pairs, ys):
+    """Yield ``size`` bitmasks at each threshold y of the ascending ``ys``:
+    mask ``row`` holds ``bit`` for every pair ``(d, row, bit)`` within y.
 
-
-def rank_jr_check(instance, outcome):
-    """At every threshold, no quota of agents shares an approved candidate
-    while none of them approves any center."""
-    n, k = instance.n, instance.k
-    m = quota(n, k, 1, 1)
-    if m > n:
-        return _report("rank-jr", PASS, None, EXACT)
-    dW = dists_to_centers(instance, outcome)
-    rows = instance.dist_rows
-    for y in instance.levels:
+    The pairs are sorted once and OR-ed in as y grows.  One list is updated
+    in place and yielded at every threshold, so a caller must copy out what
+    it keeps past the next one.
+    """
+    pairs = sorted(pairs, key=itemgetter(0))
+    masks = [0] * size
+    pos = 0
+    for y in ys:
         limit = y + TAU
-        uncovered = [i for i in range(n) if dW[i] > limit]
-        if len(uncovered) < m:
-            continue
-        for j in range(instance.num_candidates):
-            group = tuple(i for i in uncovered if rows[i][j] <= limit)
-            if len(group) >= m:
-                witness = RankViolation(
-                    axiom="rank-jr",
-                    threshold_y=y,
-                    ell=1,
-                    group=group,
-                    witness_candidates=(j,),
-                )
-                return _report("rank-jr", VIOLATION, witness, EXACT)
-    return _report("rank-jr", PASS, None, EXACT)
+        while pos < len(pairs) and pairs[pos][0] <= limit:
+            _, row, bit = pairs[pos]
+            masks[row] |= 1 << bit
+            pos += 1
+        yield masks
 
 
-def _approval_columns(instance, y):
-    """Per candidate, a bitmask of the agents approving it at threshold y."""
-    limit = y + TAU
-    cols = [0] * instance.num_candidates
-    for i, row in enumerate(instance.dist_rows):
-        for j, d in enumerate(row):
-            if d <= limit:
-                cols[j] |= 1 << i
-    return cols
+def _approvals(instance):
+    """Sweep over the agent-candidate distances: per candidate, a mask of
+    the agents approving it."""
+    pairs = [(d, j, i) for i, row in enumerate(instance.dist_rows) for j, d in enumerate(row)]
+    return instance.levels, instance.num_candidates, pairs
 
 
-def _winner_masks(instance, centers, y):
-    """Per agent, a bitmask over positions of ``centers`` within y."""
-    limit = y + TAU
-    masks = []
-    for row in instance.dist_rows:
-        mask = 0
-        for p, c in enumerate(centers):
-            if row[c] <= limit:
-                mask |= 1 << p
-        masks.append(mask)
-    return masks
+def _proximity(instance):
+    """Sweep over the agent-agent distances (and 0): per agent, a mask of
+    the other agents within the threshold."""
+    rows = instance.agent_rows
+    pairs = [(d, i, j) for i, row in enumerate(rows) for j, d in enumerate(row) if i != j]
+    # the int 0 comes first, so co-located float points cannot make it 0.0
+    return sorted({0} | {d for d, _, _ in pairs}), instance.n, pairs
 
 
 def _bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
-def _covered_winners(centers, wmasks, group):
-    seen = 0
-    for i in group:
-        seen |= wmasks[i]
-    return tuple(centers[p] for p in _bits(seen))
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _cover_sets(instance, centers, wmasks):
@@ -146,30 +119,49 @@ def _cover_sets(instance, centers, wmasks):
 
 
 def _violation(notion, y, ell, group, cands, centers, wmasks):
-    return RankViolation(
-        axiom=notion,
-        threshold_y=y,
-        ell=ell,
-        group=group,
-        witness_candidates=cands,
-        covered_winners=_covered_winners(centers, wmasks, group),
-    )
+    seen = 0
+    for i in group:
+        seen |= wmasks[i]
+    covered = tuple(centers[p] for p in _bits(seen))
+    return RankViolation(notion, y, ell, group, witness_candidates=cands, covered_winners=covered)
 
 
-def _threshold_scan(instance, outcome, caps, notion, find):
-    """Run ``find`` at every threshold until it returns a violation."""
+def _threshold_scan(instance, outcome, caps, notion, find, sweep):
+    """Run ``find`` at every threshold of ``sweep = (ys, width, pairs)``
+    until it returns a violation.
+
+    ``find`` gets the sweep's ``width`` masks and, per agent, the mask of
+    center positions within the threshold.  Both lists change in place at
+    the next threshold, so ``find`` copies out whatever it returns.
+    """
+    ys, width, pairs = sweep
     centers = outcome.sorted_centers()
+    rows = instance.dist_rows
+    wpairs = [(row[c], i, p) for i, row in enumerate(rows) for p, c in enumerate(centers)]
+    grown = zip(ys, _growing_masks(width, pairs, ys), _growing_masks(instance.n, wpairs, ys))
     budget = [caps.node_budget]
     try:
-        for y in instance.levels:
-            cols = _approval_columns(instance, y)
-            wmasks = _winner_masks(instance, centers, y)
-            hit = find(instance, centers, cols, wmasks, y, budget, notion)
+        for y, masks, wmasks in grown:
+            hit = find(instance, centers, masks, wmasks, y, budget, notion)
             if hit is not None:
-                return _report(notion, VIOLATION, hit, EXACT)
+                return AuditReport(notion, {}, VIOLATION, hit, EXACT)
     except _BudgetExceeded:
-        return _report(notion, PASS, None, CAP_EXHAUSTED)
-    return _report(notion, PASS, None, EXACT)
+        return AuditReport(notion, {}, PASS, None, CAP_EXHAUSTED)
+    return AuditReport(notion, {}, PASS, None, EXACT)
+
+
+def _jr_at_threshold(m, instance, centers, cols, wmasks, y, budget, notion):
+    uncovered = 0
+    for i, wmask in enumerate(wmasks):
+        if not wmask:
+            uncovered |= 1 << i
+    if uncovered.bit_count() < m:
+        return None
+    for j, col in enumerate(cols):
+        group = col & uncovered
+        if group.bit_count() >= m:
+            return _violation(notion, y, 1, tuple(_bits(group)), (j,), centers, wmasks)
+    return None
 
 
 def _pjr_at_threshold(instance, centers, cols, wmasks, y, budget, notion):
@@ -207,22 +199,35 @@ def _pjr_plus_at_threshold(instance, centers, cols, wmasks, y, budget, notion):
     return None
 
 
+def rank_jr_check(instance, outcome):
+    """At every threshold, no quota of agents shares an approved candidate
+    while none of them approves any center."""
+    find = partial(_jr_at_threshold, quota(instance.n, instance.k, 1, 1))
+    return _threshold_scan(instance, outcome, Caps(), "rank-jr", find, _approvals(instance))
+
+
 def rank_pjr_check(instance, outcome, caps=Caps()):
     """At every threshold, every ell-large group sharing ell approved
     candidates must collectively approve ell centers."""
-    return _threshold_scan(instance, outcome, caps, "rank-pjr", _pjr_at_threshold)
+    return _threshold_scan(
+        instance, outcome, caps, "rank-pjr", _pjr_at_threshold, _approvals(instance)
+    )
 
 
 def dprf_check(instance, outcome, caps=Caps()):
     """Discrete proportionally-representative fairness; same condition as
     the ell-cohesive threshold axiom, reported under its own name."""
-    return _threshold_scan(instance, outcome, caps, "dprf", _pjr_at_threshold)
+    return _threshold_scan(
+        instance, outcome, caps, "dprf", _pjr_at_threshold, _approvals(instance)
+    )
 
 
 def rank_pjr_plus_check(instance, outcome, caps=Caps()):
     """Strengthening where a group sharing even one unselected candidate is
     already owed ell centers."""
-    return _threshold_scan(instance, outcome, caps, "rank-pjr+", _pjr_plus_at_threshold)
+    return _threshold_scan(
+        instance, outcome, caps, "rank-pjr+", _pjr_plus_at_threshold, _approvals(instance)
+    )
 
 
 def uprf_check(instance, outcome, caps=Caps()):
@@ -233,33 +238,17 @@ def uprf_check(instance, outcome, caps=Caps()):
     agent-agent distances are enumerated.  Candidate locations play no role
     on the group side.
     """
-    notion = "uprf"
-    n = instance.n
-    centers = outcome.sorted_centers()
-    daa = instance.agent_rows
-    yvals = {0}
-    for i in range(n):
-        for j in range(i + 1, n):
-            yvals.add(daa[i][j])
-    budget = [caps.node_budget]
-    try:
-        for y in sorted(yvals):
-            limit = y + TAU
-            wmasks = _winner_masks(instance, centers, y)
-            adj = [0] * n
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if daa[i][j] <= limit:
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
-            for ell, m, umask in _cover_sets(instance, centers, wmasks):
-                group = _clique_at_least(adj, umask, m, budget)
-                if group is not None:
-                    witness = _violation(notion, y, ell, tuple(group), (), centers, wmasks)
-                    return _report(notion, VIOLATION, witness, EXACT)
-    except _BudgetExceeded:
-        return _report(notion, PASS, None, CAP_EXHAUSTED)
-    return _report(notion, PASS, None, EXACT)
+    return _threshold_scan(
+        instance, outcome, caps, "uprf", _uprf_at_threshold, _proximity(instance)
+    )
+
+
+def _uprf_at_threshold(instance, centers, adj, wmasks, y, budget, notion):
+    for ell, m, umask in _cover_sets(instance, centers, wmasks):
+        group = _clique_at_least(adj, umask, m, budget)
+        if group is not None:
+            return _violation(notion, y, ell, tuple(group), (), centers, wmasks)
+    return None
 
 
 def _clique_at_least(adj, allowed, m, budget):

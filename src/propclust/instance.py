@@ -9,12 +9,11 @@ keeps co-located candidates distinguishable.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .metric import MetricSpace
+from .metric import MetricSpace, _as_id
 
 
 def quota(n, k, ell=1, gamma=1):
@@ -33,17 +32,6 @@ def quota(n, k, ell=1, gamma=1):
     if g < 1:
         raise ValueError("gamma must be at least 1")
     return math.ceil(g * ell * n / Fraction(k))
-
-
-def _as_id(value, what):
-    """``value`` as an int; bools and non-integral values raise ValueError
-    rather than being rounded."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,32 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from operator import sub
+from numbers import Real
+from operator import index, sub
 
 # Slack for radius comparisons on floating values.  Exact (int/Fraction)
 # data can never be within TAU of a boundary it does not sit on.
 TAU = 1e-9
 
 _NORMS = ("l1", "l2", "linf")
+
+
+def _as_id(value, what):
+    """``value`` as an int; bools and non-integral values raise ValueError
+    rather than being rounded."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _as_coord(value):
+    """``value`` as a float; strings and bools raise ValueError."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"coordinate must be a number, got {value!r}")
 
 
 def as_weight(w):
@@ -31,8 +50,10 @@ def as_weight(w):
             raise ValueError("negative weight")
         return w
     if isinstance(w, (list, tuple)) and len(w) == 2:
-        num, den = w
-        frac = Fraction(int(num), int(den))
+        num, den = _as_id(w[0], "weight numerator"), _as_id(w[1], "weight denominator")
+        if den == 0:
+            raise ValueError("weight denominator is zero")
+        frac = Fraction(num, den)
         if frac < 0:
             raise ValueError("negative weight")
         return frac if frac.denominator != 1 else frac.numerator
@@ -94,12 +115,12 @@ class MetricSpace:
         weights (int, Fraction, or ``[num, den]``).  Raises on disconnected
         graphs since the metric would be undefined.
         """
-        n = int(num_nodes)
+        n = _as_id(num_nodes, "node count")
         if n <= 0:
             raise ValueError("graph needs at least one node")
         adj = [[] for _ in range(n)]
         for u, v, w in edges:
-            u, v = int(u), int(v)
+            u, v = _as_id(u, "edge endpoint"), _as_id(v, "edge endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: ({u},{v})")
             weight = as_weight(w)
@@ -117,7 +138,7 @@ class MetricSpace:
         "linf")."""
         if norm not in _NORMS:
             raise ValueError(f"unknown norm {norm!r}")
-        pts = [tuple(float(x) for x in row) for row in coords]
+        pts = [tuple(map(_as_coord, row)) for row in coords]
         if not pts:
             raise ValueError("need at least one point")
         dim = len(pts[0])

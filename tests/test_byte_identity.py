@@ -9,9 +9,11 @@ that alters any output on purpose must record the new digest and say why.
 
 import hashlib
 import json
+import random
 
-from propclust import algorithms
+from propclust import algorithms, audit_rank
 from propclust.cli import NUMERIC_NOTIONS, RANK_NOTIONS, run_audit
+from propclust.instance import Outcome
 
 RECORDED_DIGEST = "88afe9a0f36958cf47847b5a43e4ebe6d6d4990221d4675f9874a38403eed392"
 
@@ -42,3 +44,39 @@ def corpus_outputs(corpus):
 def test_small_corpus_outputs_byte_identical(small_corpus):
     text = json.dumps(corpus_outputs(small_corpus), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_DIGEST
+
+
+# Recorded before the threshold sweeps of audit_rank were merged into one
+# incremental scan; small node budgets pin where each audit runs out.
+RECORDED_BUDGET_DIGEST = "8db7f0699b48461af19c64e4c60015ae9ebb959af4b879ccd9169d68519d2d81"
+RANK_CHECKS = (
+    audit_rank.rank_jr_check,
+    audit_rank.rank_pjr_check,
+    audit_rank.rank_pjr_plus_check,
+    audit_rank.dprf_check,
+    audit_rank.uprf_check,
+)
+
+
+def budget_outputs(corpus):
+    records = []
+    for idx, inst in enumerate(corpus):
+        outcomes = [algorithms.greedy_capture(inst)[0], algorithms.expanding_approvals(inst)[0]]
+        for seed in (1, 2):
+            rng = random.Random(seed * 1000 + idx)
+            size = rng.randint(0, min(inst.k, inst.num_candidates))
+            outcomes.append(Outcome(rng.sample(range(inst.num_candidates), size)))
+        for o, outcome in enumerate(outcomes):
+            for budget in (0, 1, 7, 40):
+                caps = audit_rank.Caps(node_budget=budget)
+                for check in RANK_CHECKS:
+                    args = (inst, outcome)
+                    if check is not audit_rank.rank_jr_check:
+                        args += (caps,)
+                    records.append([idx, o, budget, check(*args).to_json()])
+    return records
+
+
+def test_small_corpus_rank_budgets_byte_identical(small_corpus):
+    text = json.dumps(budget_outputs(small_corpus), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_BUDGET_DIGEST

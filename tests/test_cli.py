@@ -84,11 +84,15 @@ def test_solve_ea_spends_full_budget(fig3a_file, capsys):
 
 
 def test_solve_parse_error_exit2(tmp_path, capsys):
-    bad = write(tmp_path, "bad.json", {"metric": {"type": "nope"}})
-    assert run_cli("solve", "--alg", "gc", "--input", bad) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error" in captured.err
+    zero_den_graph = {"type": "graph", "nodes": 2, "edges": [[0, 1, [1, 0]]]}
+    zero_den_matrix = {"type": "matrix", "d": [[0, [1, 0]], [[1, 0], 0]]}
+    for metric in ({"type": "nope"}, zero_den_graph, zero_den_matrix):
+        payload = {"metric": metric, "agents": [0, 1], "candidates": "all", "k": 1}
+        bad = write(tmp_path, "bad.json", payload)
+        assert run_cli("solve", "--alg", "gc", "--input", bad) == 2, metric
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err)
 
 
 def test_audit_pf_pass(fig3a_file, tmp_path, capsys):
@@ -175,13 +179,18 @@ def test_audit_q_zero_rejected(tmp_path, capsys):
 
 def test_solve_non_integral_ids_exit2(tmp_path, capsys):
     base = generate_family("graph", 4, 2, 0)
-    for key, value in (
+    edges = base["metric"]["edges"]
+    bad_metrics = [("nodes", 2.5), ("nodes", "2"), ("edges", [[0.7, 1, 1]] + edges)]
+    for weight in ([1.5, 2], [True, 2]):
+        bad_metrics.append(("edges", [[0, 1, weight]] + edges))
+    cases = [
         ("agents", [0.7, 1]),
         ("agents", [True, 1]),
         ("candidates", [0, 1.5]),
         ("k", 2.9),
         ("k", True),
-    ):
+    ] + [("metric", dict(base["metric"], **{key: value})) for key, value in bad_metrics]
+    for key, value in cases:
         path = write(tmp_path, "bad.json", dict(base, **{key: value}))
         assert run_cli("solve", "--alg", "gc", "--input", path) == 2, (key, value)
         captured = capsys.readouterr()

@@ -219,3 +219,6 @@ def test_from_points_rejects_non_finite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             MetricSpace.from_points([[0.0, 0.0], [bad, 1.0]])
+    for bad in ("1", True):
+        with pytest.raises(ValueError, match="must be a number"):
+            MetricSpace.from_points([[0.0, 0.0], [bad, 1.0]])
