@@ -12,21 +12,26 @@ give bit-identical outcomes and traces.
   by open centers as the radius grows.  May open fewer than k centers.
 * expanding approvals: every agent holds budget k/n; a candidate opens when
   the agents within delta jointly hold one unit, which is collected
-  closest-first (the deduction order is a pluggable policy).
+  closest-first (the deduction order is a pluggable policy).  Budgets are
+  held as integers in units of 1/n.
 * fair greedy capture: randomized rule for instances whose agents are
   exactly the candidate set; each captured ball elects q of its members
   uniformly at random, and the committee is topped up with uniformly random
   unselected agents at the end.
+
+Expanding approvals reads its balls from the threshold sweep in
+``instance``, which holds the within-delta rule; greedy capture and fair
+greedy capture rank exact deltas and apply the same TAU slack themselves.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .instance import Instance, Outcome, quota
+from .instance import Instance, Outcome, _approvals, _bits, _growing_masks, quota
 from .metric import TAU
 from .reports import encode_value
 
@@ -143,37 +148,27 @@ def expanding_approvals(instance, deduct_order=None):
         deduct_order = closest_first_order
     n, k = instance.n, instance.k
     table = instance.dist_rows
-    budgets = [Fraction(k, n) for _ in range(n)]
+    levels, width, pairs = _approvals(instance)
+    budgets = [k] * n  # in units of 1/n: an opening costs n
+    funded = n  # agents with a positive budget
+    closed = list(range(width))
     opened = []
-    opened_set = set()
     events = []
-
-    def remaining_count():
-        return sum(1 for b in budgets if b > 0)
-
-    for delta in instance.levels:
-        if len(opened) == k or sum(budgets) < 1:
+    for delta, balls in zip(levels, _growing_masks(width, pairs, levels)):
+        if len(opened) == k:
             break
-        limit = delta + TAU
         while len(opened) < k:
-            chosen = None
-            for j in range(instance.num_candidates):
-                if j in opened_set:
-                    continue
-                ball = [i for i in range(n) if table[i][j] <= limit]
-                if sum(budgets[i] for i in ball) >= 1:
-                    chosen = (j, ball)
+            for j in closed:
+                ball = _bits(balls[j])
+                if sum(budgets[i] for i in ball) >= n:
                     break
-            if chosen is None:
+            else:
                 break
-            j, ball = chosen
+            closed.remove(j)
             opened.append(j)
-            opened_set.add(j)
-            events.append(
-                TraceEvent(delta=delta, kind="open", candidate=j, remaining=remaining_count())
-            )
+            events.append(TraceEvent(delta=delta, kind="open", candidate=j, remaining=funded))
             dists = {i: table[i][j] for i in ball}
-            need = Fraction(1)
+            need = n
             for i in deduct_order(ball, dists):
                 if need == 0:
                     break
@@ -181,14 +176,16 @@ def expanding_approvals(instance, deduct_order=None):
                 if take > 0:
                     budgets[i] -= take
                     need -= take
+                    if budgets[i] == 0:
+                        funded -= 1
                     events.append(
                         TraceEvent(
                             delta=delta,
                             kind="deduct",
                             agent=i,
                             center=j,
-                            amount=take,
-                            remaining=remaining_count(),
+                            amount=Fraction(take, n),
+                            remaining=funded,
                         )
                     )
             assert need == 0, "ball budget checked before opening"
@@ -292,17 +289,9 @@ def restricted_solve(instance, rule):
         orig_at_point.setdefault(c, idx)
     remap = {j: orig_at_point[agent_points[j]] for j in range(len(agent_points))}
     centers = frozenset(remap[j] for j in out.centers)
+    # remap.get keeps a missing candidate or center as None
     events = tuple(
-        TraceEvent(
-            delta=e.delta,
-            kind=e.kind,
-            candidate=None if e.candidate is None else remap[e.candidate],
-            agent=e.agent,
-            center=None if e.center is None else remap[e.center],
-            amount=e.amount,
-            captured=e.captured,
-            remaining=e.remaining,
-        )
+        replace(e, candidate=remap.get(e.candidate), center=remap.get(e.center))
         for e in trace.events
     )
     outcome = Outcome(centers, origin=f"{rule}-restricted")

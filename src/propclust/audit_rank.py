@@ -8,9 +8,10 @@ threshold list is equivalent to auditing all real y.
 
 All five axioms run through one incremental scan.  The (distance, row,
 bit) pairs are sorted once and OR-ed into the approval, adjacency and
-winner bitmasks as the threshold grows, so the within-y rule (a distance
-at most y, with slack TAU) lives in one place, ``_growing_masks``; each
-axiom supplies only what it searches at one threshold.
+winner bitmasks as the threshold grows.  The within-y rule (a distance at
+most y, with slack TAU) lives in ``instance._growing_masks``, the sweep
+that expanding approvals reads too; each axiom supplies only what it
+searches at one threshold, and the quotas are computed once per call.
 
 The justified-representation check runs in polynomial time.  The stronger
 checks enumerate (cohesive target set, cover set) pairs exactly: a violating
@@ -26,12 +27,9 @@ branch and bound under the same budget rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
-from operator import itemgetter
 
-from .instance import quota
-from .metric import TAU
+from .instance import _approvals, _bits, _growing_masks, quota
 from .reports import CAP_EXHAUSTED, EXACT, PASS, VIOLATION, AuditReport, RankViolation
 
 
@@ -52,33 +50,6 @@ def thresholds(instance):
     return list(instance.levels)
 
 
-def _growing_masks(size, pairs, ys):
-    """Yield ``size`` bitmasks at each threshold y of the ascending ``ys``:
-    mask ``row`` holds ``bit`` for every pair ``(d, row, bit)`` within y.
-
-    The pairs are sorted once and OR-ed in as y grows.  One list is updated
-    in place and yielded at every threshold, so a caller must copy out what
-    it keeps past the next one.
-    """
-    pairs = sorted(pairs, key=itemgetter(0))
-    masks = [0] * size
-    pos = 0
-    for y in ys:
-        limit = y + TAU
-        while pos < len(pairs) and pairs[pos][0] <= limit:
-            _, row, bit = pairs[pos]
-            masks[row] |= 1 << bit
-            pos += 1
-        yield masks
-
-
-def _approvals(instance):
-    """Sweep over the agent-candidate distances: per candidate, a mask of
-    the agents approving it."""
-    pairs = [(d, j, i) for i, row in enumerate(instance.dist_rows) for j, d in enumerate(row)]
-    return instance.levels, instance.num_candidates, pairs
-
-
 def _proximity(instance):
     """Sweep over the agent-agent distances (and 0): per agent, a mask of
     the other agents within the threshold."""
@@ -88,24 +59,17 @@ def _proximity(instance):
     return sorted({0} | {d for d, _, _ in pairs}), instance.n, pairs
 
 
-def _bits(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _cover_sets(instance, centers, wmasks):
+def _cover_sets(quotas, centers, wmasks):
     """Yield (ell, m, umask) for every cover set worth searching.
 
-    For ell = 1 .. k while the quota m = quota(n, k, ell) is at most n, and
-    for each set Y of min(ell - 1, |W|) center positions in combinations
-    order, umask holds the agents approving no center outside Y, so any
-    group inside it approves fewer than ell centers.  Cover sets leaving
-    fewer than m such agents are skipped.
+    For each (ell, m) of ``quotas``, and for each set Y of
+    min(ell - 1, |W|) center positions in combinations order, umask holds
+    the agents approving no center outside Y, so any group inside it
+    approves fewer than ell centers.  Cover sets leaving fewer than m such
+    agents are skipped.
     """
-    n, k = instance.n, instance.k
-    for ell in range(1, k + 1):
-        m = quota(n, k, ell, 1)
-        if m > n:
-            return
+    n = len(wmasks)
+    for ell, m in quotas:
         for ysub in combinations(range(len(centers)), min(ell - 1, len(centers))):
             ymask = 0
             for p in ysub:
@@ -130,19 +94,22 @@ def _threshold_scan(instance, outcome, caps, notion, find, sweep):
     """Run ``find`` at every threshold of ``sweep = (ys, width, pairs)``
     until it returns a violation.
 
-    ``find`` gets the sweep's ``width`` masks and, per agent, the mask of
-    center positions within the threshold.  Both lists change in place at
-    the next threshold, so ``find`` copies out whatever it returns.
+    ``find`` gets the (ell, quota) pairs for ell = 1 .. k, the sweep's
+    ``width`` masks and, per agent, the mask of center positions within the
+    threshold.  Both mask lists change in place at the next threshold, so
+    ``find`` copies out whatever it returns.
     """
     ys, width, pairs = sweep
+    n, k = instance.n, instance.k
+    quotas = [(ell, quota(n, k, ell, 1)) for ell in range(1, k + 1)]
     centers = outcome.sorted_centers()
     rows = instance.dist_rows
     wpairs = [(row[c], i, p) for i, row in enumerate(rows) for p, c in enumerate(centers)]
-    grown = zip(ys, _growing_masks(width, pairs, ys), _growing_masks(instance.n, wpairs, ys))
+    grown = zip(ys, _growing_masks(width, pairs, ys), _growing_masks(n, wpairs, ys))
     budget = [caps.node_budget]
     try:
         for y, masks, wmasks in grown:
-            hit = find(instance, centers, masks, wmasks, y, budget, notion)
+            hit = find(quotas, centers, masks, wmasks, y, budget, notion)
             if hit is not None:
                 return AuditReport(notion, {}, VIOLATION, hit, EXACT)
     except _BudgetExceeded:
@@ -150,7 +117,8 @@ def _threshold_scan(instance, outcome, caps, notion, find, sweep):
     return AuditReport(notion, {}, PASS, None, EXACT)
 
 
-def _jr_at_threshold(m, instance, centers, cols, wmasks, y, budget, notion):
+def _jr_at_threshold(quotas, centers, cols, wmasks, y, budget, notion):
+    _, m = quotas[0]
     uncovered = 0
     for i, wmask in enumerate(wmasks):
         if not wmask:
@@ -164,10 +132,9 @@ def _jr_at_threshold(m, instance, centers, cols, wmasks, y, budget, notion):
     return None
 
 
-def _pjr_at_threshold(instance, centers, cols, wmasks, y, budget, notion):
-    nc = instance.num_candidates
-    for ell, m, umask in _cover_sets(instance, centers, wmasks):
-        frequent = [j for j in range(nc) if (cols[j] & umask).bit_count() >= m]
+def _pjr_at_threshold(quotas, centers, cols, wmasks, y, budget, notion):
+    for ell, m, umask in _cover_sets(quotas, centers, wmasks):
+        frequent = [j for j, col in enumerate(cols) if (col & umask).bit_count() >= m]
         if len(frequent) < ell:
             continue
         for tsub in combinations(frequent, ell):
@@ -184,10 +151,10 @@ def _pjr_at_threshold(instance, centers, cols, wmasks, y, budget, notion):
     return None
 
 
-def _pjr_plus_at_threshold(instance, centers, cols, wmasks, y, budget, notion):
+def _pjr_plus_at_threshold(quotas, centers, cols, wmasks, y, budget, notion):
     center_set = set(centers)
-    for ell, m, umask in _cover_sets(instance, centers, wmasks):
-        for j in range(instance.num_candidates):
+    for ell, m, umask in _cover_sets(quotas, centers, wmasks):
+        for j in range(len(cols)):
             if j in center_set:
                 continue
             budget[0] -= 1
@@ -202,8 +169,9 @@ def _pjr_plus_at_threshold(instance, centers, cols, wmasks, y, budget, notion):
 def rank_jr_check(instance, outcome):
     """At every threshold, no quota of agents shares an approved candidate
     while none of them approves any center."""
-    find = partial(_jr_at_threshold, quota(instance.n, instance.k, 1, 1))
-    return _threshold_scan(instance, outcome, Caps(), "rank-jr", find, _approvals(instance))
+    return _threshold_scan(
+        instance, outcome, Caps(), "rank-jr", _jr_at_threshold, _approvals(instance)
+    )
 
 
 def rank_pjr_check(instance, outcome, caps=Caps()):
@@ -243,8 +211,8 @@ def uprf_check(instance, outcome, caps=Caps()):
     )
 
 
-def _uprf_at_threshold(instance, centers, adj, wmasks, y, budget, notion):
-    for ell, m, umask in _cover_sets(instance, centers, wmasks):
+def _uprf_at_threshold(quotas, centers, adj, wmasks, y, budget, notion):
+    for ell, m, umask in _cover_sets(quotas, centers, wmasks):
         group = _clique_at_least(adj, umask, m, budget)
         if group is not None:
             return _violation(notion, y, ell, tuple(group), (), centers, wmasks)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import algorithms, audit_multi, audit_rank, audit_single, fixtures
 from .generate import generate_family
 from .instance import Instance, Outcome, validate
-from .metric import MetricSpace, as_weight
+from .metric import MetricSpace, _as_id, as_weight
 from .reports import CAP_EXHAUSTED, VIOLATION, encode_value
 
 
@@ -36,6 +36,10 @@ def parse_instance(obj):
             space = MetricSpace.from_graph(metric["nodes"], metric["edges"])
         elif mtype == "points":
             space = MetricSpace.from_points(metric["coords"], metric.get("norm", "l2"))
+            if "dim" in metric:
+                dim, width = _as_id(metric["dim"], "dim"), len(space.coords[0])
+                if dim != width:
+                    raise ValueError(f"dim {dim} does not match {width}-coordinate points")
         elif mtype == "matrix":
             space = MetricSpace.from_matrix(
                 [[as_weight(x) for x in row] for row in metric["d"]]

@@ -4,6 +4,9 @@ An instance is a set of agents and a set of candidates (both lists of point
 ids into one metric space, agents possibly repeated) together with a target
 number of centers ``k``.  An outcome is a set of *candidate indices*, which
 keeps co-located candidates distinguishable.
+
+The threshold sweep that rules and auditors share lives here too:
+``_growing_masks`` holds the within-y rule (a distance at most y + TAU).
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
-from .metric import MetricSpace, _as_id
+from .metric import TAU, MetricSpace, _as_id
 
 
 def quota(n, k, ell=1, gamma=1):
@@ -117,6 +121,39 @@ class Instance:
     def agents_equal_candidates(self):
         """True when agents and candidates occupy the same point set (N = C)."""
         return set(self.agents) == set(self.candidates)
+
+
+def _growing_masks(size, pairs, ys):
+    """Yield ``size`` bitmasks at each threshold y of the ascending ``ys``:
+    mask ``row`` holds ``bit`` for every pair ``(d, row, bit)`` within y.
+
+    This holds the within-y rule for every rule and auditor that sweeps
+    thresholds: a distance is within y when it is at most y + TAU.  The
+    pairs are sorted once and OR-ed in as y grows.  One list is updated in
+    place and yielded at every threshold, so a caller must copy out what it
+    keeps past the next one.
+    """
+    pairs = sorted(pairs, key=itemgetter(0))
+    masks = [0] * size
+    pos = 0
+    for y in ys:
+        limit = y + TAU
+        while pos < len(pairs) and pairs[pos][0] <= limit:
+            _, row, bit = pairs[pos]
+            masks[row] |= 1 << bit
+            pos += 1
+        yield masks
+
+
+def _approvals(instance):
+    """Sweep over the agent-candidate distances: per candidate, a mask of
+    the agents approving it (the agents in its ball)."""
+    pairs = [(d, j, i) for i, row in enumerate(instance.dist_rows) for j, d in enumerate(row)]
+    return instance.levels, instance.num_candidates, pairs
+
+
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,22 @@ def test_ea_custom_deduction_policy_keeps_axioms():
         assert rank_pjr_plus_check(inst, out).passed
 
 
+def test_ea_remaining_counts_funded_agents():
+    def farthest_first(ball, dists):
+        return sorted(ball, key=lambda i: (-dists[i], i))
+
+    rng = random.Random(15)
+    for _ in range(30):
+        inst = random_instance(rng, 10, 10, 5)
+        for order in (None, farthest_first):
+            _, trace = expanding_approvals(inst, deduct_order=order)
+            budgets = [Fraction(inst.k, inst.n)] * inst.n
+            for e in trace.events:
+                if e.kind == "deduct":
+                    budgets[e.agent] -= e.amount
+                assert e.remaining == sum(1 for b in budgets if b > 0), e
+
+
 def test_fgc_support_contains_recorded_outcome():
     inst, L = fixtures.fig3a(4)
     target = frozenset(L[x] for x in ("1", "5", "9", "10"))

@@ -80,3 +80,36 @@ def budget_outputs(corpus):
 def test_small_corpus_rank_budgets_byte_identical(small_corpus):
     text = json.dumps(budget_outputs(small_corpus), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_BUDGET_DIGEST
+
+
+# Recorded before expanding approvals moved onto the shared threshold sweep
+# with integer budgets.  corpus500 reaches 12 agents and 12 candidates with
+# float coordinates, past the 7x6 tops of small_corpus.
+RECORDED_EA_DIGEST = "20fd802de38287b2749ae6767ebec2966136283bc79d9f9e4281eedc16984bcc"
+
+
+def farthest_first(ball, dists):
+    return sorted(ball, key=lambda i: (-dists[i], i))
+
+
+def ea_outputs(corpus):
+    records = []
+    for idx, inst in enumerate(corpus):
+        runs = (
+            ("ea", lambda: algorithms.expanding_approvals(inst)),
+            ("ea-far", lambda: algorithms.expanding_approvals(inst, deduct_order=farthest_first)),
+            ("ea-restricted", lambda: algorithms.restricted_solve(inst, "ea")),
+        )
+        for tag, run in runs:
+            try:
+                outcome, trace = run()
+            except ValueError as exc:
+                records.append([idx, tag, _error(exc)])
+                continue
+            records.append([idx, tag, sorted(outcome.centers), outcome.origin, trace.to_json()])
+    return records
+
+
+def test_corpus500_ea_byte_identical(corpus500):
+    text = json.dumps(ea_outputs(corpus500), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_EA_DIGEST

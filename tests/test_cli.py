@@ -86,7 +86,8 @@ def test_solve_ea_spends_full_budget(fig3a_file, capsys):
 def test_solve_parse_error_exit2(tmp_path, capsys):
     zero_den_graph = {"type": "graph", "nodes": 2, "edges": [[0, 1, [1, 0]]]}
     zero_den_matrix = {"type": "matrix", "d": [[0, [1, 0]], [[1, 0], 0]]}
-    for metric in ({"type": "nope"}, zero_den_graph, zero_den_matrix):
+    wrong_dim = {"type": "points", "dim": 3, "coords": [[0, 0], [1, 0]]}
+    for metric in ({"type": "nope"}, zero_den_graph, zero_den_matrix, wrong_dim):
         payload = {"metric": metric, "agents": [0, 1], "candidates": "all", "k": 1}
         bad = write(tmp_path, "bad.json", payload)
         assert run_cli("solve", "--alg", "gc", "--input", bad) == 2, metric
@@ -190,6 +191,9 @@ def test_solve_non_integral_ids_exit2(tmp_path, capsys):
         ("k", 2.9),
         ("k", True),
     ] + [("metric", dict(base["metric"], **{key: value})) for key, value in bad_metrics]
+    coords = [[0, 0], [1, 0], [0, 1], [1, 1]]
+    for dim in ("x", 2.5, True):
+        cases.append(("metric", {"type": "points", "dim": dim, "coords": coords}))
     for key, value in cases:
         path = write(tmp_path, "bad.json", dict(base, **{key: value}))
         assert run_cli("solve", "--alg", "gc", "--input", path) == 2, (key, value)
