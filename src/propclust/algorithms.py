@@ -20,8 +20,8 @@ give bit-identical outcomes and traces.
   unselected agents at the end.
 
 Expanding approvals reads its balls from the threshold sweep in
-``instance``, which holds the within-delta rule; greedy capture and fair
-greedy capture rank exact deltas and apply the same TAU slack themselves.
+``instance``; greedy capture and fair greedy capture rank exact deltas and
+capture what lies within ``MetricSpace.limit`` of the delta they act at.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .instance import Instance, Outcome, _approvals, _bits, _growing_masks, quota
-from .metric import TAU
 from .reports import encode_value
 
 
@@ -102,7 +101,8 @@ def greedy_capture(instance):
                 best = key
         delta, kind, idx, center = best
         if kind == 0:
-            captured = tuple(i for i in remaining if table[i][idx] <= delta + TAU)
+            limit = instance.space.limit(delta)
+            captured = tuple(i for i in remaining if table[i][idx] <= limit)
             remaining = [i for i in remaining if i not in set(captured)]
             opened.append(idx)
             opened_set.add(idx)
@@ -154,7 +154,7 @@ def expanding_approvals(instance, deduct_order=None):
     closed = list(range(width))
     opened = []
     events = []
-    for delta, balls in zip(levels, _growing_masks(width, pairs, levels)):
+    for delta, balls in zip(levels, _growing_masks(width, pairs, levels, instance.space.limit)):
         if len(opened) == k:
             break
         while len(opened) < k:
@@ -223,7 +223,7 @@ def fair_greedy_capture(instance, q, seed):
             if best is None or (delta, p) < best:
                 best = (delta, p)
         delta, p = best
-        limit = delta + TAU
+        limit = instance.space.limit(delta)
         ball = sorted(i for i in remaining if daa[p][i] <= limit)
         pick = sorted(rng.sample(ball, min(q, len(ball))))
         pick_set = set(pick)

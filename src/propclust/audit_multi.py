@@ -15,7 +15,7 @@ import heapq
 from fractions import Fraction
 from itertools import combinations
 
-from .audit_single import dists_to_centers, max_sum_ratio, ratio, top_group
+from .audit_single import dists_to_centers, max_sum_ratio, radius_scan, ratio, top_group
 from .instance import quota
 from .reports import CAP_EXHAUSTED, EXACT, AuditReport, Witness
 
@@ -112,20 +112,7 @@ def q_if_min_beta(instance, outcome, q):
         raise ValueError("q-IF undefined: k exceeds n")
     if q < 1 or q > len(outcome.centers):
         raise ValueError("q must satisfy 1 <= q <= |W|")
-    n, k = instance.n, instance.k
-    count = quota(n, k, q, 1)
-    dqW = dists_to_centers(instance, outcome, q)
-    best = None
-    for i in range(n):
-        r = instance.space.neighborhood_radius(instance.agents[i], instance.agents, count)
-        value = ratio(dqW[i], r)
-        if best is None or value > best[0]:
-            best = (value, i)
-    value, i = best
-    params = {"q": q}
-    if value < 1:
-        return AuditReport("qif", params, 1, None, EXACT)
-    return AuditReport("qif", params, value, Witness(agents=(i,)), EXACT)
+    return radius_scan(instance, outcome, "qif", {"q": q}, q)
 
 
 def q_tc_min_alpha(instance, outcome, q, gamma=1, size_cap=None):

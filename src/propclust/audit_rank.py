@@ -8,10 +8,11 @@ threshold list is equivalent to auditing all real y.
 
 All five axioms run through one incremental scan.  The (distance, row,
 bit) pairs are sorted once and OR-ed into the approval, adjacency and
-winner bitmasks as the threshold grows.  The within-y rule (a distance at
-most y, with slack TAU) lives in ``instance._growing_masks``, the sweep
-that expanding approvals reads too; each axiom supplies only what it
-searches at one threshold, and the quotas are computed once per call.
+winner bitmasks as the threshold grows.  The sweep is
+``instance._growing_masks``, which expanding approvals reads too, and the
+within-y rule is the metric space's ``limit`` (exact on exact data, a
+small slack on floats); each axiom supplies only what it searches at one
+threshold, and the quotas are computed once per call.
 
 The justified-representation check runs in polynomial time.  The stronger
 checks enumerate (cohesive target set, cover set) pairs exactly: a violating
@@ -105,7 +106,8 @@ def _threshold_scan(instance, outcome, caps, notion, find, sweep):
     centers = outcome.sorted_centers()
     rows = instance.dist_rows
     wpairs = [(row[c], i, p) for i, row in enumerate(rows) for p, c in enumerate(centers)]
-    grown = zip(ys, _growing_masks(width, pairs, ys), _growing_masks(n, wpairs, ys))
+    limit = instance.space.limit
+    grown = zip(ys, _growing_masks(width, pairs, ys, limit), _growing_masks(n, wpairs, ys, limit))
     budget = [caps.node_budget]
     try:
         for y, masks, wmasks in grown:

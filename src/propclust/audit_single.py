@@ -96,19 +96,29 @@ def if_min_beta(instance, outcome):
     """
     if not instance.agents_within_candidates():
         raise ValueError("IF undefined: agents are not a subset of candidates")
-    n, k = instance.n, instance.k
-    m = quota(n, k, 1, 1)
-    dW = dists_to_centers(instance, outcome)
+    return radius_scan(instance, outcome, "if", {}, 1)
+
+
+def radius_scan(instance, outcome, notion, params, q):
+    """The individual-fairness scan behind ``if`` (q = 1) and ``qif``.
+
+    Each agent's q-th center distance is divided by the radius of its
+    nearest quota(n, k, q) agents, the agent itself included; the largest
+    ratio is the value and the lowest-index agent attaining it the witness.
+    """
+    count = quota(instance.n, instance.k, q, 1)
+    if count > instance.n:
+        raise ValueError("count exceeds number of agents")
+    dqW = dists_to_centers(instance, outcome, q)
     best = None
-    for i in range(n):
-        r = instance.space.neighborhood_radius(instance.agents[i], instance.agents, m)
-        value = ratio(dW[i], r)
+    for i, row in enumerate(instance.agent_rows):
+        value = ratio(dqW[i], heapq.nsmallest(count, row)[-1])
         if best is None or value > best[0]:
             best = (value, i)
     value, i = best
     if value < 1:
-        return AuditReport("if", {}, 1, None, EXACT)
-    return AuditReport("if", {}, value, Witness(agents=(i,)), EXACT)
+        return AuditReport(notion, params, 1, None, EXACT)
+    return AuditReport(notion, params, value, Witness(agents=(i,)), EXACT)
 
 
 def tc_min_alpha(instance, outcome, gamma=1):

@@ -142,6 +142,17 @@ def path_uprf():
     return Instance(space, (0, 1, 2), "all", 1), labels
 
 
+def near_tie_uprf():
+    """Two agents at distance 1 and one candidate w at 1 + 10^-12 from the
+    first and 2 from the second; an exact matrix, k = 1.  With W = {w} the
+    pair's diameter is 1 and neither member is within 1 of w, so UPRF is
+    violated; any slack of 10^-12 or more would hide it."""
+    labels = {"a0": 0, "a1": 1, "w": 2}
+    near = 1 + Fraction(1, 10**12)
+    space = MetricSpace.from_matrix([[0, 1, near], [1, 0, 2], [near, 2, 0]])
+    return Instance(space, (0, 1), "all", 1), labels
+
+
 def lb_tc(alpha=1, n=400, k=4):
     """Core stress fixture: a near-quota block co-located with candidate c,
     the rest at distance 1, and the single open center at distance alpha
@@ -251,5 +262,6 @@ def repro_cases():
         ReproCase("qtc_blocks", "rank-pjr", {}, None, "pass"),
         ReproCase("qtc_blocks", "uprf", {}, None, "pass"),
         ReproCase("qtc_blocks", "qif", {"q": 2}, None, 1),
+        ReproCase("near_tie_uprf", "uprf", {}, ("w",), "violation", near_tie_uprf),
     ]
     return cases

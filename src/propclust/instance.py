@@ -6,7 +6,8 @@ number of centers ``k``.  An outcome is a set of *candidate indices*, which
 keeps co-located candidates distinguishable.
 
 The threshold sweep that rules and auditors share lives here too:
-``_growing_masks`` holds the within-y rule (a distance at most y + TAU).
+``_growing_masks`` applies the metric space's within-y rule
+(``MetricSpace.limit``) that its callers pass in.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
-from .metric import TAU, MetricSpace, _as_id
+from .metric import MetricSpace, _as_id
 
 
 def quota(n, k, ell=1, gamma=1):
@@ -123,12 +124,13 @@ class Instance:
         return set(self.agents) == set(self.candidates)
 
 
-def _growing_masks(size, pairs, ys):
+def _growing_masks(size, pairs, ys, limit):
     """Yield ``size`` bitmasks at each threshold y of the ascending ``ys``:
     mask ``row`` holds ``bit`` for every pair ``(d, row, bit)`` within y.
 
-    This holds the within-y rule for every rule and auditor that sweeps
-    thresholds: a distance is within y when it is at most y + TAU.  The
+    Every rule and auditor that sweeps thresholds reads its masks here; a
+    distance d is within y when ``d <= limit(y)``, where ``limit`` is the
+    instance space's :meth:`~propclust.metric.MetricSpace.limit`.  The
     pairs are sorted once and OR-ed in as y grows.  One list is updated in
     place and yielded at every threshold, so a caller must copy out what it
     keeps past the next one.
@@ -137,8 +139,8 @@ def _growing_masks(size, pairs, ys):
     masks = [0] * size
     pos = 0
     for y in ys:
-        limit = y + TAU
-        while pos < len(pairs) and pairs[pos][0] <= limit:
+        bound = limit(y)
+        while pos < len(pairs) and pairs[pos][0] <= bound:
             _, row, bit = pairs[pos]
             masks[row] |= 1 << bit
             pos += 1
@@ -158,13 +160,17 @@ def _bits(mask):
 
 @dataclass(frozen=True)
 class Outcome:
-    """A chosen center set: a frozenset of candidate indices, at most k."""
+    """A chosen center set: a frozenset of candidate indices, at most k.
+    An iterable that names an index twice is rejected, not collapsed."""
 
     centers: frozenset
     origin: str = "external"
 
     def __post_init__(self):
-        centers = frozenset(_as_id(c, "center") for c in self.centers)
+        ids = [_as_id(c, "center") for c in self.centers]
+        centers = frozenset(ids)
+        if len(centers) != len(ids):
+            raise ValueError(f"repeated center in {sorted(ids)}")
         object.__setattr__(self, "centers", centers)
 
     def sorted_centers(self):

@@ -3,9 +3,11 @@
 Distances are plain numbers: ``int`` / ``Fraction`` for graph metrics and
 exact matrices, ``float`` for coordinate spaces.  Exact inputs stay exact all
 the way through shortest paths and queries, so audits on integer-weighted
-instances never see rounding.  Every comparison of a distance against a
-radius allows a slack of ``TAU`` so floating-point spaces behave like their
-exact counterparts near ties.
+instances never see rounding.  Each space owns the within-y rule that every
+rule and auditor reads, :meth:`MetricSpace.limit`: an exact space (every
+distance an int or ``Fraction``) compares exactly, and a space holding any
+float distance allows a slack of ``TAU`` so it behaves like its exact
+counterpart near ties.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from fractions import Fraction
 from numbers import Real
 from operator import index, sub
 
-# Slack for radius comparisons on floating values.  Exact (int/Fraction)
-# data can never be within TAU of a boundary it does not sit on.
+# Slack for radius comparisons in spaces with float distances.
 TAU = 1e-9
 
 _NORMS = ("l1", "l2", "linf")
@@ -68,10 +69,11 @@ class MetricSpace:
     construction; instances are safe for concurrent reads.
     """
 
-    __slots__ = ("_d", "kind", "coords", "norm")
+    __slots__ = ("_d", "_slack", "kind", "coords", "norm")
 
     def __init__(self, d, kind, coords=None, norm=None):
         self._d = d
+        self._slack = TAU if any(isinstance(x, float) for row in d for x in row) else 0
         self.kind = kind
         self.coords = coords
         self.norm = norm
@@ -97,15 +99,19 @@ class MetricSpace:
                     raise ValueError("negative distance")
                 if d[i][j] != d[j][i]:
                     raise ValueError("matrix is not symmetric")
-        # exhaustive triangle check; the inner max over k runs in C
+        space = cls(d, "matrix")
+        limit = space.limit
+        # exhaustive triangle check; the inner max over k runs in C, and
+        # limit(y) >= y, so limit is consulted only past y itself
         for j in range(n):
             dj = d[j]
             for i in range(n):
                 di = d[i]
-                if max(map(sub, di, dj)) > di[j] + TAU:
+                excess = max(map(sub, di, dj))
+                if excess > di[j] and excess > limit(di[j]):
                     k = max(range(n), key=lambda x: di[x] - dj[x])
                     raise ValueError(f"triangle inequality fails at ({i},{j},{k})")
-        return cls(d, "matrix")
+        return space
 
     @classmethod
     def from_graph(cls, num_nodes, edges):
@@ -155,6 +161,11 @@ class MetricSpace:
 
     # -- queries -----------------------------------------------------------
 
+    def limit(self, y):
+        """The largest distance that counts as within radius ``y``: ``y``
+        itself in an exact space, ``y + TAU`` in a space with floats."""
+        return y + self._slack if self._slack else y
+
     def dist(self, a, b):
         """Metric distance between two point ids."""
         return self._d[a][b]
@@ -172,9 +183,9 @@ class MetricSpace:
         return heapq.nsmallest(q, (row[t] for t in targets))[-1]
 
     def ball(self, a, r, universe):
-        """Points of ``universe`` within distance ``r`` (+TAU slack) of ``a``."""
+        """Points of ``universe`` within distance ``r`` of ``a``."""
         row = self._d[a]
-        limit = r + TAU
+        limit = self.limit(r)
         return {x for x in universe if row[x] <= limit}
 
     def neighborhood_radius(self, a, agents, count):

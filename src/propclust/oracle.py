@@ -213,15 +213,20 @@ def oracle_qtc(instance, outcome, q, gamma=1):
     return OracleResult(best, witness, checked)
 
 
-def _approvals_at(instance, y):
-    from .metric import TAU
+def _within(d, y):
+    """Distance ``d`` is within radius ``y``: exactly when both are exact,
+    with a slack of 1e-9 when either is a float."""
+    if isinstance(d, float) or isinstance(y, float):
+        return d <= y + 1e-9
+    return d <= y
 
-    limit = y + TAU
+
+def _approvals_at(instance, y):
     masks = []
     for i in range(instance.n):
         mask = 0
         for j in range(instance.num_candidates):
-            if instance.d_ac(i, j) <= limit:
+            if _within(instance.d_ac(i, j), y):
                 mask |= 1 << j
         masks.append(mask)
     return masks
@@ -285,8 +290,6 @@ def oracle_rank(axiom, instance, outcome):
 
 
 def _oracle_uprf(instance, outcome):
-    from .metric import TAU
-
     n, k = instance.n, instance.k
     wpts = _center_points(instance, outcome)
     checked = 0
@@ -298,12 +301,11 @@ def _oracle_uprf(instance, outcome):
             d = instance.d_aa(a, b)
             if d > diam:
                 diam = d
-        limit = diam + TAU
         covered = sum(
             1
             for c in wpts
             if any(
-                instance.space.dist(instance.agents[i], c) <= limit for i in members
+                _within(instance.space.dist(instance.agents[i], c), diam) for i in members
             )
         )
         for ell in range(1, k + 1):

@@ -106,6 +106,9 @@ def test_qif_preconditions():
         q_if_min_beta(tall, W, 1)
     with pytest.raises(ValueError, match="q must satisfy"):
         q_if_min_beta(inst, W, 2)  # |W| = 1 < q
+    wide = outcome_of(L, ("c", "w"))  # more centers than k = 1
+    with pytest.raises(ValueError, match="count exceeds number of agents"):
+        q_if_min_beta(inst, wide, 2)  # quota(4, 1, 2) = 8 agents
 
 
 def test_qtc_blocks_unbounded_with_wide_targets():

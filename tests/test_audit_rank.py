@@ -111,6 +111,19 @@ def test_uprf_path_pass_but_not_rank_jr():
     assert not rank_jr_check(inst, W).passed
 
 
+def test_uprf_exact_near_tie_violation():
+    # d(a0, w) = 1 + 10^-12 on an exact matrix: at y = 1, the pair's
+    # diameter, neither agent is within 1 of w
+    inst, L = fixtures.near_tie_uprf()
+    W = outcome_of(L, ("w",))
+    report = uprf_check(inst, W)
+    assert report.value == "violation" and report.status == "exact"
+    v = report.witness
+    assert (v.threshold_y, v.group, v.ell) == (1, (0, 1), 1)
+    assert orc.oracle_rank("uprf", inst, W).value == "violation"
+    assert orc.oracle_rank("uprf", inst, W).witness == (1, 1, (0, 1))
+
+
 def test_uprf_nonexistence_when_k_exceeds_colocated_candidates():
     # one agent, two centers wanted, only one candidate on the agent's point
     space = MetricSpace.from_matrix([[0, 3], [3, 0]])

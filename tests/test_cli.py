@@ -143,6 +143,7 @@ INVALID_AUDIT_INPUTS = [
     ({"W": [True]}, ()),
     ({"W": [0]}, ("--gamma", "abc")),
     ({"W": [0]}, ("--gamma", "1/0")),
+    ({"W": [0, 0, 0]}, ()),
 ]
 
 

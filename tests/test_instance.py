@@ -108,7 +108,9 @@ def test_non_integral_ids_rejected():
         with pytest.raises(ValueError, match="must be an integer"):
             Outcome(centers)
     assert Instance(space, [1, 0], [1], 2).agents == (1, 0)
-    assert Outcome([1, 0, 1]).centers == frozenset({0, 1})
+    assert Outcome([1, 0]).centers == frozenset({0, 1})
+    with pytest.raises(ValueError, match="repeated center"):
+        Outcome([1, 0, 1])
 
 
 def test_duplicate_agents_allowed():

@@ -117,8 +117,10 @@ def test_matrix_validation():
         MetricSpace.from_matrix([[0, 1], [2, 0]])
     with pytest.raises(ValueError, match="diagonal"):
         MetricSpace.from_matrix([[1]])
-    with pytest.raises(ValueError, match="triangle"):
-        MetricSpace.from_matrix([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+    far = 2 + Fraction(1, 10**10)  # breaks the triangle by 10^-10, exactly
+    for rows in ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], [[0, 1, far], [1, 0, 1], [far, 1, 0]]):
+        with pytest.raises(ValueError, match="triangle"):
+            MetricSpace.from_matrix(rows)
 
 
 def test_points_norms():

@@ -1,0 +1,197 @@
+"""The within-y rule: one owner, and the oracle agrees with it on ties.
+
+A distance d is within a radius y when ``d <= space.limit(y)``.  Exact
+spaces compare exactly and float spaces allow the slack ``TAU``; only
+``metric.py`` may know that constant.  The differential tests below run the
+fast auditors and the brute-force oracle, which writes out its own
+comparison, on instances built to sit on or next to a threshold:
+co-location through zero-weight edges, exact distances offset by 10^-12,
+and the same offsets on floats.  ``hypothesis.target`` steers the search
+toward outcomes whose audited factor comes close to the paper's bound.
+"""
+
+import ast
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st, target
+
+from propclust import (
+    Instance,
+    MetricSpace,
+    Outcome,
+    dprf_check,
+    expanding_approvals,
+    greedy_capture,
+    pf_min_alpha,
+    rank_jr_check,
+    rank_pjr_check,
+    rank_pjr_plus_check,
+    tc_min_alpha,
+    uprf_check,
+)
+from propclust import oracle as orc
+from propclust.metric import TAU
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "propclust"
+OWNERS = ("metric.py", "__init__.py")
+
+
+def _tau_lines(path):
+    """Lines of ``path`` that name TAU: as a variable, an attribute, an
+    imported name or a string (as in ``__all__`` or ``getattr``)."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (
+            (isinstance(node, ast.Name) and node.id == "TAU")
+            or (isinstance(node, ast.Attribute) and node.attr == "TAU")
+            or (isinstance(node, ast.alias) and "TAU" in (node.name, node.asname))
+            or (isinstance(node, ast.Constant) and node.value == "TAU")
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_metric_names_tau():
+    assert _tau_lines(SRC / "metric.py"), "the guard no longer sees metric.TAU"
+    copies = {
+        path.name: _tau_lines(path)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in OWNERS
+    }
+    assert {name: lines for name, lines in copies.items() if lines} == {}
+
+
+def test_limit_is_exact_on_exact_spaces():
+    graph = MetricSpace.from_graph(2, [(0, 1, [1, 3])])
+    assert graph.limit(Fraction(1, 3)) == Fraction(1, 3)
+    assert graph.ball(0, Fraction(1, 3) - Fraction(1, 10**12), [0, 1]) == {0}
+    exact = MetricSpace.from_matrix([[0, 1], [1, 0]])
+    assert exact.limit(1) == 1
+    floats = MetricSpace.from_points([[0.0], [1.0]])
+    assert floats.limit(1.0) == 1.0 + TAU
+    # one float distance is enough to make the whole space a float space
+    mixed = MetricSpace.from_matrix([[0, 1.5], [1.5, 0]])
+    assert mixed.limit(1) == 1 + TAU
+    assert mixed.ball(0, 1.5 - TAU / 2, [0, 1]) == {0, 1}
+
+
+@st.composite
+def tie_instances(draw, kind):
+    """An instance of at most 6 points over a graph with weights 0..2.
+
+    Zero weights co-locate points.  For "fraction" and "float" every
+    distance d(a, b), a != b, is raised by (o_a + o_b) * 10^-12 with
+    per-point offsets o in {0, 1, 2}: still a metric, now full of near
+    ties.  Agents may repeat; the outcome is greedy capture's, expanding
+    approvals' or a random set of at most k candidates.
+    """
+    npts = draw(st.integers(2, 6))
+    weight = st.integers(0, 2)
+    edges = [(draw(st.integers(0, v - 1)), v, draw(weight)) for v in range(1, npts)]
+    point = st.integers(0, npts - 1)
+    edges += draw(st.lists(st.tuples(point, point, weight), max_size=npts))
+    space = MetricSpace.from_graph(npts, edges)
+    if kind != "graph":
+        offsets = draw(st.lists(st.integers(0, 2), min_size=npts, max_size=npts))
+        cast, eps = (float, 1e-12) if kind == "float" else (Fraction, Fraction(1, 10**12))
+        rows = [
+            [cast(space.dist(a, b)) + (oa + ob) * eps for b, ob in enumerate(offsets)]
+            for a, oa in enumerate(offsets)
+        ]
+        for a in range(npts):
+            rows[a][a] = 0
+        space = MetricSpace.from_matrix(rows)
+    agents = draw(st.lists(point, min_size=1, max_size=6))
+    candidates = draw(
+        st.one_of(st.just("all"), st.lists(point, min_size=1, max_size=npts, unique=True))
+    )
+    inst = Instance(space, agents, candidates, draw(st.integers(1, 3)))
+    rule = draw(st.sampled_from(["gc", "ea", "random"]))
+    if rule == "gc":
+        outcome, _ = greedy_capture(inst)
+    elif rule == "ea":
+        outcome, _ = expanding_approvals(inst)
+    else:
+        indices = range(inst.num_candidates)
+        outcome = Outcome(draw(st.sets(st.sampled_from(indices), max_size=inst.k)))
+    return inst, outcome
+
+
+RANK_CHECKS = {
+    "rank-jr": rank_jr_check,
+    "rank-pjr": rank_pjr_check,
+    "rank-pjr+": rank_pjr_plus_check,
+    "dprf": dprf_check,
+    "uprf": uprf_check,
+}
+# factor bounds that hold once an outcome passes an axiom: PF and TC at
+# gamma = 2 after rank-JR, PF after UPRF
+BOUNDS = (
+    ("rank-jr", "pf", 1 + math.sqrt(2)),
+    ("rank-jr", "tc", 4),
+    ("uprf", "pf", (3 + math.sqrt(17)) / 2),
+)
+
+
+def _check_against_oracle(inst, outcome, exact=True):
+    """Fast verdicts and factors equal the oracle's; on exact data the
+    factor bounds hold too (see the xfail below for floats)."""
+    verdicts = {}
+    for notion, check in RANK_CHECKS.items():
+        fast = check(inst, outcome).value
+        assert fast == orc.oracle_rank(notion, inst, outcome).value, notion
+        verdicts[notion] = fast
+    factors = {"pf": pf_min_alpha(inst, outcome).value, "tc": tc_min_alpha(inst, outcome, 2).value}
+    assert factors["pf"] == orc.oracle_pf(inst, outcome).value
+    assert factors["tc"] == orc.oracle_tc(inst, outcome, 2).value
+    for axiom, notion, bound in BOUNDS:
+        if verdicts[axiom] == "pass":
+            if exact:
+                assert factors[notion] <= bound, (axiom, notion)
+            score = float(factors[notion]) / bound
+            if math.isfinite(score):
+                target(score, label=f"{notion} / bound after {axiom}")
+
+
+@given(tie_instances("graph"))
+@settings(max_examples=150)
+def test_oracle_agrees_on_zero_weight_graphs(case):
+    _check_against_oracle(*case)
+
+
+@given(tie_instances("fraction"))
+@settings(max_examples=150)
+def test_oracle_agrees_on_fraction_near_ties(case):
+    _check_against_oracle(*case)
+
+
+@given(tie_instances("float"))
+@settings(max_examples=150)
+def test_oracle_agrees_on_float_near_ties(case):
+    _check_against_oracle(*case, exact=False)
+
+
+def test_fraction_near_tie_keeps_pf_bound_after_rank_jr():
+    near = Fraction(1, 10**12)
+    space = MetricSpace.from_matrix([[0, near, 1], [near, 0, 1], [1, 1, 0]])
+    inst = Instance(space, (1, 2), "all", 2)
+    W, _ = expanding_approvals(inst)
+    assert W.centers == {1, 2}
+    assert rank_jr_check(inst, W).passed
+    assert pf_min_alpha(inst, W).value == 1
+
+
+@pytest.mark.xfail(strict=True, reason="float spaces treat d <= TAU as a tie with 0")
+def test_float_near_tie_keeps_pf_bound_after_rank_jr():
+    # The same instance on floats: at delta = 0 candidate 0, 1e-12 away
+    # from the agent at point 1, already counts as within, so expanding
+    # approvals opens it instead of that agent's own point.  rank-JR
+    # passes, yet the PF factor 1e-12 / 0 of that agent is unbounded.
+    space = MetricSpace.from_matrix([[0.0, 1e-12, 1.0], [1e-12, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    inst = Instance(space, (1, 2), "all", 2)
+    W, _ = expanding_approvals(inst)
+    assert rank_jr_check(inst, W).passed
+    assert pf_min_alpha(inst, W).value <= 1 + math.sqrt(2)
