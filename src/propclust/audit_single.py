@@ -126,7 +126,10 @@ def tc_min_alpha(instance, outcome, gamma=1):
 
     Maximizes sum(d(i,W)) / sum(d(i,c)) over candidates c outside the
     outcome and groups of at least ceil(gamma * n / k) agents, exactly, via
-    Dinkelbach iteration on the subset-ratio problem.
+    Dinkelbach iteration on the subset-ratio problem.  The first candidate
+    worth 1 or more becomes the incumbent and only a strictly larger value
+    replaces it; on exact data a candidate that ``may_beat`` rules out is
+    never iterated.
     """
     g = Fraction(gamma)
     if g < 1:
@@ -135,19 +138,43 @@ def tc_min_alpha(instance, outcome, gamma=1):
     m = quota(n, k, 1, g)
     dW = dists_to_centers(instance, outcome)
     params = {"gamma": g}
+    exact = instance.space.exact
     best = None
     if m <= n:
         for j in range(instance.num_candidates):
             if j in outcome.centers:
                 continue
             pairs = [(w, row[j]) for w, row in zip(dW, instance.dist_rows)]
+            incumbent = None if best is None else best[0]
+            if exact and not may_beat(pairs, m, incumbent):
+                continue
             value, group = max_sum_ratio(pairs, m)
-            if group is not None and (best is None or value > best[0]):
+            if group is not None and (value >= 1 if best is None else value > incumbent):
                 best = (value, j, group)
-    if best is None or best[0] < 1:
+    if best is None:
         return AuditReport("tc", params, 1, None, EXACT)
     value, j, group = best
     return AuditReport("tc", params, value, Witness(agents=group, candidates=(j,)), EXACT)
+
+
+def may_beat(pairs, m, incumbent):
+    """Dinkelbach's level-set test on exact ``pairs`` (w, v).
+
+    False only when no index set of at least m pairs has sum(w)/sum(v)
+    above ``incumbent``, or, while there is none (None), at 1 or above.
+    With bound b = P/Q, the largest sum of Q*w - P*v over such sets is
+    then negative, or zero with an incumbent; integer data stays in
+    integers.  An all-zero-denominator group with positive numerator has a
+    positive sum, so it always passes.  Infinite w or incumbent are not
+    tested.
+    """
+    bound = 1 if incumbent is None else incumbent
+    if bound == math.inf or any(w == math.inf for w, _ in pairs):
+        return True
+    p, q = bound.numerator, bound.denominator
+    margins = sorted((q * w - p * v for w, v in pairs), reverse=True)
+    gain = sum(margins[:m]) + sum(g for g in margins[m:] if g > 0)
+    return gain > 0 or (gain == 0 and incumbent is None)
 
 
 def max_sum_ratio(pairs, m):

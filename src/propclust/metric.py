@@ -166,6 +166,11 @@ class MetricSpace:
         itself in an exact space, ``y + TAU`` in a space with floats."""
         return y + self._slack if self._slack else y
 
+    @property
+    def exact(self):
+        """True when every distance is an int or ``Fraction``."""
+        return not self._slack
+
     def dist(self, a, b):
         """Metric distance between two point ids."""
         return self._d[a][b]

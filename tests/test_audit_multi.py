@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 from propclust import (
+    Instance,
+    MetricSpace,
+    Outcome,
     expanding_approvals,
     pf_min_alpha,
     q_core_min_alpha,
@@ -14,7 +17,7 @@ from propclust import (
 from propclust import fixtures
 from propclust.audit_multi import q_group_min_ratio, q_group_sum_ratio
 from propclust.fixtures import outcome_of
-from propclust.reports import CAP_EXHAUSTED, EXACT
+from propclust.reports import CAP_EXHAUSTED, EXACT, Witness
 from propclust import oracle as orc
 
 
@@ -182,3 +185,80 @@ def test_qcore_errors():
         q_core_min_alpha(inst, W, 6)
     with pytest.raises(ValueError):
         q_core_min_alpha(inst, W, 2, size_cap=1)
+
+
+def _star(arms, n_agents=1, k=1):
+    """Agents on the hub of a star whose arms end at the candidates."""
+    space = MetricSpace.from_graph(len(arms) + 1, [(0, j + 1, w) for j, w in enumerate(arms)])
+    return Instance(space, (0,) * n_agents, tuple(range(1, len(arms) + 1)), k)
+
+
+def test_q_scan_first_subset_worth_one_is_witness():
+    # both single-candidate deviations are worth exactly 1; the first wins
+    inst = _star([2, 2])
+    W = Outcome([1])
+    reports = (q_core_min_alpha(inst, W, 1), q_tc_min_alpha(inst, W, 1), tc_min_alpha(inst, W))
+    for report in reports:
+        assert report.value == 1
+        assert report.witness is not None
+        assert report.witness.candidates == (0,)
+
+
+def test_q_scan_fewer_centers_than_q_is_unbounded():
+    # |W| = 1 < q = 2: every agent's q-th center distance is inf
+    inst = _star([1, 2, 3], n_agents=2, k=2)
+    W = Outcome([2])
+    report = q_core_min_alpha(inst, W, 2)
+    assert report.value == math.inf
+    assert report.witness == Witness(agents=(0, 1), candidates=(0, 1), ell=2)
+    assert q_tc_min_alpha(inst, W, 2).value == math.inf
+
+
+def test_qtc_zero_denominators_are_unbounded():
+    # two agents sit on candidate 0 (a zero-weight edge), far from W
+    space = MetricSpace.from_graph(3, [(0, 1, 0), (1, 2, 5)])
+    inst = Instance(space, (0, 1), (0, 2), 1)
+    W = Outcome([1])
+    report = q_tc_min_alpha(inst, W, 1)
+    assert report.value == math.inf
+    assert report.witness == Witness(agents=(0, 1), candidates=(0,), ell=1)
+    assert q_group_sum_ratio(inst, W, 1, (0, 1), (0,)) == math.inf
+
+
+def test_q_scan_tie_after_rise_keeps_earlier_subset():
+    # deviations are worth 2, 4, 4 and 1: the incumbent rises from the
+    # first subset to the second, and the third only ties it
+    inst = _star([4, 2, 2, 8])
+    W = Outcome([3])
+    reports = (q_core_min_alpha(inst, W, 1), q_tc_min_alpha(inst, W, 1), tc_min_alpha(inst, W))
+    for report in reports:
+        assert report.value == 4
+        assert report.witness.candidates == (1,)
+    # the same across sizes: at k = 2 every pair holding candidate 1 or 2
+    # is worth 4 as well and only ties (1,)
+    inst2 = _star([4, 2, 2, 8], n_agents=2, k=2)
+    report = q_core_min_alpha(inst2, W, 1)
+    assert report.value == 4
+    assert report.witness.candidates == (1,)
+
+
+def test_qtc_float_group_ratio_rounding_past_members():
+    # Both agents improve by exactly the same float ratio b at candidate 1,
+    # yet their summed ratio rounds one ulp above b.  Candidate 0 is worth
+    # b first (agent 0 alone), so candidate 1 must still be scored even
+    # though neither agent's own ratio there exceeds b.
+    d = [
+        [0, 2.981797981049634, 1.5702432095340706, 1.134364244112401, 1.134364244112401],
+        [2.981797981049634, 0, 2.5573093435783556, 3.0, 1.8474337369372327],
+        [1.5702432095340706, 2.5573093435783556, 0, 2.7046074536464717, 2.7046074536464717],
+        [1.134364244112401, 3.0, 2.7046074536464717, 0, 2.268728488224802],
+        [1.134364244112401, 1.8474337369372327, 2.7046074536464717, 2.268728488224802, 0],
+    ]
+    inst = Instance(MetricSpace.from_matrix(d), (0, 1), (3, 4, 2), 2)
+    W = Outcome([2])
+    b = inst.d_ac(0, 2) / inst.d_ac(0, 0)
+    assert b == inst.d_ac(1, 2) / inst.d_ac(1, 1)
+    report = q_tc_min_alpha(inst, W, 1, 1, size_cap=1)
+    assert report.value > b
+    assert report.witness == Witness(agents=(0, 1), candidates=(1,), ell=1)
+    assert q_group_sum_ratio(inst, W, 1, (0, 1), (1,)) == report.value

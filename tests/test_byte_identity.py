@@ -10,8 +10,9 @@ that alters any output on purpose must record the new digest and say why.
 import hashlib
 import json
 import random
+from fractions import Fraction
 
-from propclust import algorithms, audit_rank
+from propclust import algorithms, audit_rank, q_core_min_alpha, q_tc_min_alpha
 from propclust.cli import NUMERIC_NOTIONS, RANK_NOTIONS, run_audit
 from propclust.instance import Outcome
 
@@ -113,3 +114,42 @@ def ea_outputs(corpus):
 def test_corpus500_ea_byte_identical(corpus500):
     text = json.dumps(ea_outputs(corpus500), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_EA_DIGEST
+
+
+# Recorded before the q-subset scan started pruning by the incumbent.  Each
+# q-audit runs at several size caps, so the scan must carry its incumbent
+# from one subset size to the next; the random outcomes include |W| < q.
+RECORDED_Q_SCAN_DIGEST = "17c8bcaef2d68d698044f95e927769dedb1f096c583aab24ef4dbca02039f3bd"
+Q_SCAN_GAMMAS = (1, Fraction(3, 2), 2)
+
+
+def q_scan_outputs(corpus):
+    records = []
+    for idx, inst in enumerate(corpus):
+        outcomes = []
+        for rule in (algorithms.greedy_capture, algorithms.expanding_approvals):
+            try:
+                outcomes.append(rule(inst)[0])
+            except ValueError as exc:
+                records.append([idx, rule.__name__, _error(exc)])
+        for seed in (1, 2):
+            rng = random.Random(seed * 7000 + idx)
+            size = rng.randint(0, min(inst.k, inst.num_candidates))
+            outcomes.append(Outcome(rng.sample(range(inst.num_candidates), size)))
+        for o, outcome in enumerate(outcomes):
+            for q in range(1, min(3, inst.k) + 1):
+                for cap in (q, q + 1, None):
+                    audits = [("qcore", None, q_core_min_alpha, (q, cap))]
+                    audits += [("qtc", g, q_tc_min_alpha, (q, g, cap)) for g in Q_SCAN_GAMMAS]
+                    for notion, g, audit, args in audits:
+                        try:
+                            report = audit(inst, outcome, *args).to_json()
+                        except ValueError as exc:
+                            report = _error(exc)
+                        records.append([idx, o, q, cap, notion, str(g), report])
+    return records
+
+
+def test_small_corpus_q_scans_byte_identical(small_corpus):
+    text = json.dumps(q_scan_outputs(small_corpus), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_Q_SCAN_DIGEST

@@ -26,6 +26,8 @@ from propclust import (
     expanding_approvals,
     greedy_capture,
     pf_min_alpha,
+    q_core_min_alpha,
+    q_tc_min_alpha,
     rank_jr_check,
     rank_pjr_check,
     rank_pjr_plus_check,
@@ -147,6 +149,15 @@ def _check_against_oracle(inst, outcome, exact=True):
     factors = {"pf": pf_min_alpha(inst, outcome).value, "tc": tc_min_alpha(inst, outcome, 2).value}
     assert factors["pf"] == orc.oracle_pf(inst, outcome).value
     assert factors["tc"] == orc.oracle_tc(inst, outcome, 2).value
+    # size_cap = k covers every target size the oracle enumerates
+    for q in range(1, min(2, inst.k) + 1):
+        qcore = q_core_min_alpha(inst, outcome, q, size_cap=inst.k)
+        assert qcore.status == "exact"
+        assert qcore.value == orc.oracle_qcore(inst, outcome, q).value, ("qcore", q)
+        for g in (1, 2):
+            qtc = q_tc_min_alpha(inst, outcome, q, g, size_cap=inst.k)
+            assert qtc.status == "exact"
+            assert qtc.value == orc.oracle_qtc(inst, outcome, q, g).value, ("qtc", q, g)
     for axiom, notion, bound in BOUNDS:
         if verdicts[axiom] == "pass":
             if exact:
