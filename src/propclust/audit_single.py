@@ -1,12 +1,19 @@
-"""Exact minimal-factor auditors for single-center deviations.
+"""Exact minimal-factor auditors for single-center deviations, and the
+deviation scan that the multi-center auditors share.
 
 Three audits: the smallest blocking factor for proportional fairness (a
 quota-sized group deviating to one unopened candidate), for individual
 fairness (each agent against the radius of its nearest quota of agents), and
 for the transferable core (summed distances of a scaled-quota group).
 
-All three report a value together with a witness that reproduces it, and all
-arithmetic stays exact whenever the metric is exact.
+pf and tc are the q = 1, single-candidate case of q-core and q-tc, so all
+four run ``deviation_scan``; pf and tc hand it the unopened candidates, the
+q-audits every candidate.  The scan is pruned by its incumbent, the best
+value so far: a bit-mask test on each agent's candidates with ratio above
+the incumbent skips every target that cannot beat it.
+
+All audits report a value together with a witness that reproduces it, and
+all arithmetic stays exact whenever the metric is exact.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from itertools import combinations
+from operator import ge, gt
 
 from .instance import quota
 from .reports import EXACT, AuditReport, Witness
@@ -32,7 +41,7 @@ def ratio(num, den):
         return 0
     if isinstance(num, float) or isinstance(den, float) or math.isinf(num):
         return num / den
-    return Fraction(num) / Fraction(den)
+    return Fraction(num, den)
 
 
 def dists_to_centers(instance, outcome, q=1):
@@ -71,22 +80,7 @@ def group_sum_ratio(instance, outcome, agents, cand):
 def pf_min_alpha(instance, outcome):
     """Smallest factor at which no quota-sized group prefers one unopened
     candidate; 1 means fully proportional."""
-    n, k = instance.n, instance.k
-    m = quota(n, k, 1, 1)
-    dW = dists_to_centers(instance, outcome)
-    best = None
-    if m <= n:
-        for j in range(instance.num_candidates):
-            if j in outcome.centers:
-                continue
-            ratios = [ratio(w, row[j]) for w, row in zip(dW, instance.dist_rows)]
-            value, group = top_group(ratios, m)
-            if best is None or value > best[0]:
-                best = (value, j, group)
-    if best is None or best[0] < 1:
-        return AuditReport("pf", {}, 1, None, EXACT)
-    value, j, group = best
-    return AuditReport("pf", {}, value, Witness(agents=group, candidates=(j,)), EXACT)
+    return _single_center(instance, outcome, "pf", {}, 1)
 
 
 def if_min_beta(instance, outcome):
@@ -126,35 +120,125 @@ def tc_min_alpha(instance, outcome, gamma=1):
 
     Maximizes sum(d(i,W)) / sum(d(i,c)) over candidates c outside the
     outcome and groups of at least ceil(gamma * n / k) agents, exactly, via
-    Dinkelbach iteration on the subset-ratio problem.  The first candidate
-    worth 1 or more becomes the incumbent and only a strictly larger value
-    replaces it; on exact data a candidate that ``may_beat`` rules out is
-    never iterated.
+    Dinkelbach iteration on the subset-ratio problem.
     """
     g = Fraction(gamma)
     if g < 1:
         raise ValueError("gamma must be at least 1")
-    n, k = instance.n, instance.k
-    m = quota(n, k, 1, g)
-    dW = dists_to_centers(instance, outcome)
-    params = {"gamma": g}
-    exact = instance.space.exact
-    best = None
-    if m <= n:
-        for j in range(instance.num_candidates):
-            if j in outcome.centers:
-                continue
-            pairs = [(w, row[j]) for w, row in zip(dW, instance.dist_rows)]
-            incumbent = None if best is None else best[0]
-            if exact and not may_beat(pairs, m, incumbent):
-                continue
-            value, group = max_sum_ratio(pairs, m)
-            if group is not None and (value >= 1 if best is None else value > incumbent):
-                best = (value, j, group)
+    return _single_center(instance, outcome, "tc", {"gamma": g}, g)
+
+
+def _single_center(instance, outcome, notion, params, gamma):
+    """pf and tc: the q = 1 scan over single unopened candidates only."""
+    pool = [j for j in range(instance.num_candidates) if j not in outcome.centers]
+    best = deviation_scan(instance, outcome, pool, 1, 1, gamma, summed=notion == "tc")
     if best is None:
-        return AuditReport("tc", params, 1, None, EXACT)
-    value, j, group = best
-    return AuditReport("tc", params, value, Witness(agents=group, candidates=(j,)), EXACT)
+        return AuditReport(notion, params, 1, None, EXACT)
+    value, cands, group, _ = best
+    return AuditReport(notion, params, value, Witness(agents=group, candidates=cands), EXACT)
+
+
+# Relative rounding room of a float group ratio over its members' ratios:
+# two sums of at most n terms and one division stay far inside it.
+_FLOAT_ROOM = 1e-9
+
+
+def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
+    """The deviation scan behind pf, tc, q-core and q-tc.
+
+    Scans subsets C' of the candidate indices ``pool`` with sizes q ..
+    min(size_cap, k) for the deviation valued highest, measuring each agent
+    at its q-th closest point of W and of C'.  With m = quota(n, k, |C'|,
+    gamma), a deviation is valued at the m-th largest agent ratio (pf,
+    q-core), or, when ``summed``, at the best summed ratio of
+    ``max_sum_ratio`` (tc, q-tc).  Returns (value, C', group, |C'|) with C'
+    as candidate indices, or None when no deviation is worth 1.
+
+    The first subset in size-then-lexicographic order worth 1 or more
+    becomes the incumbent b, and only a strictly larger value replaces it,
+    so the witness is the first subset attaining the largest value.  A
+    subset is scored only if it can still beat b (reach 1 while there is
+    no incumbent).  With r_ij = ratio(d_q(i, W), d(i, j)), agent i's ratio
+    at C' is the q-th largest r_ij over C', so it exceeds b exactly when C'
+    holds q of the candidates G_i = {j : r_ij > b}.  A valued-at-m
+    deviation beats b only if m agents do, which is exact, floats included;
+    its top m agents are then among them, so its value is read from the
+    ratios above b alone.  A summed one beats b only if one agent does.  A
+    float group ratio can round past its members', so on float data a
+    summed scan widens G_i by _FLOAT_ROOM and scores every survivor; on
+    exact data it scores only the survivors that pass ``may_beat`` at b.
+    """
+    n, k = instance.n, instance.k
+    room = _FLOAT_ROOM if summed and not instance.space.exact else 0
+    dqW = dists_to_centers(instance, outcome, q)
+    by_candidate = list(zip(*instance.dist_rows))
+    dcols = [by_candidate[j] for j in pool]
+    width = len(pool)
+    # d_q(i, C') of a summed deviation; min is the common q = 1 case
+    qth_smallest = min if q == 1 else lambda ds: sorted(ds)[q - 1]
+
+    def hit_masks(columns, incumbent):
+        """Keep in each pool column the (i, r_ij) with j in G_i, and return
+        them with their agent masks and the number of agents with q
+        candidates in G_i at all.  b only rises, so each call filters
+        the columns the last one kept."""
+        bound, above = (1, ge) if incumbent is None else (incumbent, gt)
+        if room:
+            bound, above = bound * (1 - room), gt
+        columns = [[(i, r) for i, r in column if above(r, bound)] for column in columns]
+        hits = [sum(1 << i for i, _ in column) for column in columns]
+        return columns, hits, _reach(hits, range(width), q).bit_count()
+
+    # r_ij >= 1 exactly when d_q(i, W) >= d(i, j); only rounding room
+    # needs the ratios below 1
+    columns = [
+        [(i, ratio(w, d)) for i, (w, d) in enumerate(zip(dqW, dcol)) if room or w >= d]
+        for dcol in dcols
+    ]
+    best = None
+    columns, hits, reach = hit_masks(columns, None)
+    for size in range(q, min(size_cap, width, k) + 1):
+        m = quota(n, k, size, gamma)
+        need = 1 if summed else m
+        if m > n or reach < need:
+            break
+        for csub in combinations(range(width), size):
+            if _reach(hits, csub, q).bit_count() < need:
+                continue
+            incumbent = None if best is None else best[0]
+            if summed:
+                pairs = list(zip(dqW, map(qth_smallest, zip(*[dcols[j] for j in csub]))))
+                if not room and not may_beat(pairs, m, incumbent):
+                    continue
+                value, group = max_sum_ratio(pairs, m)
+            else:
+                kept = [[] for _ in range(n)]
+                for j in csub:
+                    for i, r in columns[j]:
+                        kept[i].append(r)
+                terms = [sorted(rs, reverse=True)[q - 1] if len(rs) >= q else 0 for rs in kept]
+                value, group = top_group(terms, m)
+            if group is not None and (value >= 1 if best is None else value > incumbent):
+                best = (value, csub, group, size)
+                columns, hits, reach = hit_masks(columns, value)
+                if reach < need:
+                    break
+    if best is None:
+        return None
+    value, csub, group, size = best
+    return value, tuple(pool[j] for j in csub), group, size
+
+
+def _reach(hits, cands, q):
+    """The agents with at least q of ``cands`` in their G_i, as a bit mask:
+    ``levels[t]`` collects the agents with more than t so far."""
+    levels = [0] * q
+    for j in cands:
+        h = hits[j]
+        for t in range(q - 1, 0, -1):
+            levels[t] |= levels[t - 1] & h
+        levels[0] |= h
+    return levels[-1]
 
 
 def may_beat(pairs, m, incumbent):

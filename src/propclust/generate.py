@@ -113,7 +113,12 @@ def _encode_weight(w):
 
 
 def generate_family(family, n, k, seed):
-    """CLI entry: deterministic InstanceFile dict for a family."""
+    """CLI entry: deterministic InstanceFile dict for a family.  Sizes that
+    make no valid instance raise ValueError (blocks needs two blocks)."""
+    low = 2 if family == "blocks" else 1
+    for name, value in (("n", n), ("k", k)):
+        if value < low:
+            raise ValueError(f"{family} needs {name} >= {low}, got {value}")
     rng = random.Random(seed)
     if family == "euclidean":
         coords = [

@@ -41,6 +41,18 @@ def test_pf_all_candidates_open():
     assert report.witness is None
 
 
+def test_open_center_worth_one_is_never_witness():
+    # the agent is as close to either open center as to itself, so a
+    # deviation to an open center would be worth exactly 1; only unopened
+    # candidates may deviate, and none is left
+    space = MetricSpace.from_matrix([[0, 2, 1], [2, 0, 1], [1, 1, 0]])
+    inst = Instance(space, (2,), (0, 1), 2)
+    W = Outcome([0, 1])
+    for report in (pf_min_alpha(inst, W), tc_min_alpha(inst, W)):
+        assert report.value == 1
+        assert report.witness is None
+
+
 def test_pf_fig4a_exact():
     inst, L = fixtures.fig4a(2)
     report = pf_min_alpha(inst, outcome_of(L, ("2", "3")))

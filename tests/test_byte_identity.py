@@ -12,7 +12,14 @@ import json
 import random
 from fractions import Fraction
 
-from propclust import algorithms, audit_rank, q_core_min_alpha, q_tc_min_alpha
+from propclust import (
+    algorithms,
+    audit_rank,
+    pf_min_alpha,
+    q_core_min_alpha,
+    q_tc_min_alpha,
+    tc_min_alpha,
+)
 from propclust.cli import NUMERIC_NOTIONS, RANK_NOTIONS, run_audit
 from propclust.instance import Outcome
 
@@ -153,3 +160,34 @@ def q_scan_outputs(corpus):
 def test_small_corpus_q_scans_byte_identical(small_corpus):
     text = json.dumps(q_scan_outputs(small_corpus), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_Q_SCAN_DIGEST
+
+
+# Recorded before pf and tc moved onto the shared deviation scan.  tc runs
+# at three scales; the all-open outcome leaves the scan no candidate.
+RECORDED_PF_TC_DIGEST = "174d8aba11fae964815d07328dba95d76f36c1edc8fa4ebce256acbb441a678e"
+
+
+def pf_tc_outputs(corpus):
+    records = []
+    for idx, inst in enumerate(corpus):
+        outcomes = []
+        for rule in (algorithms.greedy_capture, algorithms.expanding_approvals):
+            try:
+                outcomes.append(rule(inst)[0])
+            except ValueError as exc:
+                records.append([idx, rule.__name__, _error(exc)])
+        for seed in (1, 2):
+            rng = random.Random(seed * 9000 + idx)
+            size = rng.randint(0, min(inst.k, inst.num_candidates))
+            outcomes.append(Outcome(rng.sample(range(inst.num_candidates), size)))
+        outcomes.append(Outcome(range(inst.num_candidates)))
+        for o, outcome in enumerate(outcomes):
+            records.append([idx, o, "pf", pf_min_alpha(inst, outcome).to_json()])
+            for g in Q_SCAN_GAMMAS:
+                records.append([idx, o, "tc", str(g), tc_min_alpha(inst, outcome, g).to_json()])
+    return records
+
+
+def test_small_corpus_pf_tc_byte_identical(small_corpus):
+    text = json.dumps(pf_tc_outputs(small_corpus), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_PF_TC_DIGEST

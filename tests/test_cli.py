@@ -48,6 +48,31 @@ def test_gen_blocks_shape(capsys):
     assert len(zero_block) == 3
 
 
+@pytest.mark.parametrize(
+    "family, n, k, bad",
+    [
+        ("blocks", 5, 1, "k"),
+        ("blocks", 1, 3, "n"),
+        ("euclidean", 0, 2, "n"),
+        ("graph", 0, 2, "n"),
+        ("euclidean", 4, 0, "k"),
+        ("graph", 4, 0, "k"),
+    ],
+)
+def test_gen_rejects_sizes_without_an_instance(capsys, family, n, k, bad):
+    assert run_cli("gen", "--family", family, "--n", str(n), "--k", str(k)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"needs {bad} >=" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("family, n, k", [("blocks", 2, 2), ("euclidean", 1, 1), ("graph", 1, 1)])
+def test_gen_smallest_sizes_parse(capsys, family, n, k):
+    assert run_cli("gen", "--family", family, "--n", str(n), "--k", str(k)) == 0
+    inst = parse_instance(json.loads(capsys.readouterr().out))
+    assert (inst.n, inst.k) == (n, k)
+
+
 def test_gen_euclidean_shape(capsys):
     assert run_cli("gen", "--family", "euclidean", "--n", "12", "--k", "3") == 0
     obj = json.loads(capsys.readouterr().out)
