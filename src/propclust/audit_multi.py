@@ -10,14 +10,16 @@ lower bound on the exact one.
 
 q-core and q-tc run ``audit_single.deviation_scan``, the incumbent-pruned
 scan that pf and tc share, over every candidate subset up to the cap.
+Their witness re-evaluators, ``q_group_min_ratio`` and
+``q_group_sum_ratio``, live in ``audit_single`` too, since pf's and tc's
+are their q = 1 case, and are importable from here.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 
-from .audit_single import deviation_scan, dists_to_centers, radius_scan, ratio
+from .audit_single import deviation_scan, q_group_min_ratio, q_group_sum_ratio, radius_scan
 from .instance import quota
 from .reports import CAP_EXHAUSTED, EXACT, AuditReport, Witness
 
@@ -34,28 +36,6 @@ def _subset_status(instance, size_cap, gamma):
     if quota(instance.n, instance.k, size_cap + 1, gamma) > instance.n:
         return EXACT
     return CAP_EXHAUSTED
-
-
-def q_group_min_ratio(instance, outcome, q, agents, cands):
-    """Re-evaluate a q-core witness: the worst improvement ratio of
-    ``agents`` measured at their q-th closest point of ``cands``."""
-    dqW = dists_to_centers(instance, outcome, q)
-    vals = []
-    for i in agents:
-        dqc = heapq.nsmallest(q, (instance.d_ac(i, j) for j in cands))[-1]
-        vals.append(ratio(dqW[i], dqc))
-    return min(vals)
-
-
-def q_group_sum_ratio(instance, outcome, q, agents, cands):
-    """Re-evaluate a q-transferable-core witness (ratio of summed q-th
-    distances)."""
-    dqW = dists_to_centers(instance, outcome, q)
-    sw = sum(dqW[i] for i in agents)
-    sv = sum(
-        heapq.nsmallest(q, (instance.d_ac(i, j) for j in cands))[-1] for i in agents
-    )
-    return ratio(sw, sv) if (sv != 0 or sw != 0) else 1
 
 
 def q_core_min_alpha(instance, outcome, q, size_cap=None):

@@ -11,23 +11,30 @@ bit) pairs are sorted once and OR-ed into the approval, adjacency and
 winner bitmasks as the threshold grows.  The sweep is
 ``instance._growing_masks``, which expanding approvals reads too, and the
 within-y rule is the metric space's ``limit`` (exact on exact data, a
-small slack on floats); each axiom supplies only what it searches at one
-threshold, and the quotas are computed once per call.
+small slack on floats).
 
-The justified-representation check runs in polynomial time.  The stronger
-checks enumerate (cohesive target set, cover set) pairs exactly: a violating
-group always induces such a pair, and any found pair certifies a violation,
-so verdicts are exact whenever the search completes within its node budget.
-A "pass" returned after an exhausted budget is flagged, never silent.
+At each threshold the scan walks every cover set: for ell and a set Y of
+ell - 1 centers, the agents approving no center outside Y, who together
+approve fewer than ell centers.  Each axiom supplies only a search inside
+one cover set, and the scan builds the violation from what it finds:
+rank-pjr and dprf look for ell candidates that a quota of the cover set
+all approve, rank-pjr+ for one such unopened candidate, and uprf for a
+quota within the threshold of one another (an index-ordered
+branch-and-bound clique search).  rank-jr is the ell = 1 row of rank-pjr+
+over every candidate: the ell = 1 cover set is the agents approving no
+center, and a center's approvers are never among them.
 
-The diameter-anchored axiom (no candidate reference) searches for a
-violating group as a bounded-diameter clique over agents, via index-ordered
-branch and bound under the same budget rule.
+Every search is exact: a violating group always induces a (target, cover
+set) pair, and any pair found certifies a violation.  The rank-jr search is
+polynomial and never charged, so its verdict is always exact; the others
+charge one node per ell-set, unopened candidate or clique node, and a
+"pass" returned after an exhausted node budget is flagged, never silent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .instance import _approvals, _bits, _growing_masks, quota
@@ -83,26 +90,21 @@ def _cover_sets(quotas, centers, wmasks):
                 yield ell, m, umask
 
 
-def _violation(notion, y, ell, group, cands, centers, wmasks):
-    seen = 0
-    for i in group:
-        seen |= wmasks[i]
-    covered = tuple(centers[p] for p in _bits(seen))
-    return RankViolation(notion, y, ell, group, witness_candidates=cands, covered_winners=covered)
+def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
+    """Search every cover set for ell = 1 .. ``max_ell`` at every threshold
+    of ``sweep = (ys, width, pairs)`` until ``search`` finds a violation.
 
-
-def _threshold_scan(instance, outcome, caps, notion, find, sweep):
-    """Run ``find`` at every threshold of ``sweep = (ys, width, pairs)``
-    until it returns a violation.
-
-    ``find`` gets the (ell, quota) pairs for ell = 1 .. k, the sweep's
-    ``width`` masks and, per agent, the mask of center positions within the
-    threshold.  Both mask lists change in place at the next threshold, so
-    ``find`` copies out whatever it returns.
+    ``search(masks, ell, m, umask, budget)`` gets the sweep's ``width``
+    masks at the threshold, the cover set's ell, quota m and agent mask,
+    and the one-element node budget it may charge.  It returns (group,
+    witness candidates), the group as a bit mask of at least m agents
+    inside umask, or None.  The masks change in place at the next
+    threshold, and the scan builds the report, covered winners included,
+    before that.
     """
     ys, width, pairs = sweep
     n, k = instance.n, instance.k
-    quotas = [(ell, quota(n, k, ell, 1)) for ell in range(1, k + 1)]
+    quotas = [(ell, quota(n, k, ell, 1)) for ell in range(1, max_ell + 1)]
     centers = outcome.sorted_centers()
     rows = instance.dist_rows
     wpairs = [(row[c], i, p) for i, row in enumerate(rows) for p, c in enumerate(centers)]
@@ -111,68 +113,92 @@ def _threshold_scan(instance, outcome, caps, notion, find, sweep):
     budget = [caps.node_budget]
     try:
         for y, masks, wmasks in grown:
-            hit = find(quotas, centers, masks, wmasks, y, budget, notion)
-            if hit is not None:
-                return AuditReport(notion, {}, VIOLATION, hit, EXACT)
+            for ell, m, umask in _cover_sets(quotas, centers, wmasks):
+                hit = search(masks, ell, m, umask, budget)
+                if hit is None:
+                    continue
+                group, cands = tuple(_bits(hit[0])), hit[1]
+                seen = 0
+                for i in group:
+                    seen |= wmasks[i]
+                covered = tuple(centers[p] for p in _bits(seen))
+                violation = RankViolation(notion, y, ell, group, cands, covered)
+                return AuditReport(notion, {}, VIOLATION, violation, EXACT)
     except _BudgetExceeded:
         return AuditReport(notion, {}, PASS, None, CAP_EXHAUSTED)
     return AuditReport(notion, {}, PASS, None, EXACT)
 
 
-def _jr_at_threshold(quotas, centers, cols, wmasks, y, budget, notion):
-    _, m = quotas[0]
-    uncovered = 0
-    for i, wmask in enumerate(wmasks):
-        if not wmask:
-            uncovered |= 1 << i
-    if uncovered.bit_count() < m:
-        return None
+def _any_candidate(cols, ell, m, umask, budget):
+    """rank-jr: any candidate with m approvers in the cover set; unbudgeted."""
     for j, col in enumerate(cols):
-        group = col & uncovered
-        if group.bit_count() >= m:
-            return _violation(notion, y, 1, tuple(_bits(group)), (j,), centers, wmasks)
+        if (col & umask).bit_count() >= m:
+            return col & umask, (j,)
     return None
 
 
-def _pjr_at_threshold(quotas, centers, cols, wmasks, y, budget, notion):
-    for ell, m, umask in _cover_sets(quotas, centers, wmasks):
-        frequent = [j for j, col in enumerate(cols) if (col & umask).bit_count() >= m]
-        if len(frequent) < ell:
-            continue
-        for tsub in combinations(frequent, ell):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise _BudgetExceeded
-            inter = umask
-            for j in tsub:
-                inter &= cols[j]
-                if inter.bit_count() < m:
-                    break
-            if inter.bit_count() >= m:
-                return _violation(notion, y, ell, tuple(_bits(inter)), tsub, centers, wmasks)
+def _ell_sets(cols, ell, m, umask, budget):
+    """rank-pjr and dprf: the first ell candidates, among those with m
+    approvers in the cover set, that m of its agents all approve."""
+    frequent = [j for j, col in enumerate(cols) if (col & umask).bit_count() >= m]
+    for tsub in combinations(frequent, ell):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _BudgetExceeded
+        inter = umask
+        for j in tsub:
+            inter &= cols[j]
+            if inter.bit_count() < m:
+                break
+        if inter.bit_count() >= m:
+            return inter, tsub
     return None
 
 
-def _pjr_plus_at_threshold(quotas, centers, cols, wmasks, y, budget, notion):
-    center_set = set(centers)
-    for ell, m, umask in _cover_sets(quotas, centers, wmasks):
-        for j in range(len(cols)):
-            if j in center_set:
-                continue
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise _BudgetExceeded
-            inter = cols[j] & umask
-            if inter.bit_count() >= m:
-                return _violation(notion, y, ell, tuple(_bits(inter)), (j,), centers, wmasks)
+def _unopened(unopened, cols, ell, m, umask, budget):
+    """rank-pjr+: the first unopened candidate with m approvers in the
+    cover set."""
+    for j in unopened:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _BudgetExceeded
+        if (cols[j] & umask).bit_count() >= m:
+            return cols[j] & umask, (j,)
     return None
+
+
+def _clique_at_least(adj, ell, m, umask, budget):
+    """uprf: the first clique of m agents in the cover set.  Agents join in
+    index order, so the clique found is the first one in that order."""
+
+    def rec(chosen, size, avail):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _BudgetExceeded
+        if size >= m:
+            return chosen
+        while avail:
+            if size + avail.bit_count() < m:
+                return None
+            low = avail & -avail
+            avail ^= low
+            nbrs = avail & adj[low.bit_length() - 1]
+            if size + 1 + nbrs.bit_count() >= m:
+                found = rec(chosen | low, size + 1, nbrs)
+                if found is not None:
+                    return found
+        return None
+
+    group = rec(0, 0, umask)
+    return None if group is None else (group, ())
 
 
 def rank_jr_check(instance, outcome):
     """At every threshold, no quota of agents shares an approved candidate
-    while none of them approves any center."""
+    while none of them approves any center: the unbudgeted ell = 1 row of
+    the scan, so the verdict is always exact."""
     return _threshold_scan(
-        instance, outcome, Caps(), "rank-jr", _jr_at_threshold, _approvals(instance)
+        instance, outcome, Caps(), "rank-jr", _any_candidate, _approvals(instance), 1
     )
 
 
@@ -180,7 +206,7 @@ def rank_pjr_check(instance, outcome, caps=Caps()):
     """At every threshold, every ell-large group sharing ell approved
     candidates must collectively approve ell centers."""
     return _threshold_scan(
-        instance, outcome, caps, "rank-pjr", _pjr_at_threshold, _approvals(instance)
+        instance, outcome, caps, "rank-pjr", _ell_sets, _approvals(instance), instance.k
     )
 
 
@@ -188,15 +214,17 @@ def dprf_check(instance, outcome, caps=Caps()):
     """Discrete proportionally-representative fairness; same condition as
     the ell-cohesive threshold axiom, reported under its own name."""
     return _threshold_scan(
-        instance, outcome, caps, "dprf", _pjr_at_threshold, _approvals(instance)
+        instance, outcome, caps, "dprf", _ell_sets, _approvals(instance), instance.k
     )
 
 
 def rank_pjr_plus_check(instance, outcome, caps=Caps()):
     """Strengthening where a group sharing even one unselected candidate is
     already owed ell centers."""
+    unopened = [j for j in range(instance.num_candidates) if j not in outcome.centers]
+    search = partial(_unopened, unopened)
     return _threshold_scan(
-        instance, outcome, caps, "rank-pjr+", _pjr_plus_at_threshold, _approvals(instance)
+        instance, outcome, caps, "rank-pjr+", search, _approvals(instance), instance.k
     )
 
 
@@ -209,38 +237,5 @@ def uprf_check(instance, outcome, caps=Caps()):
     on the group side.
     """
     return _threshold_scan(
-        instance, outcome, caps, "uprf", _uprf_at_threshold, _proximity(instance)
+        instance, outcome, caps, "uprf", _clique_at_least, _proximity(instance), instance.k
     )
-
-
-def _uprf_at_threshold(quotas, centers, adj, wmasks, y, budget, notion):
-    for ell, m, umask in _cover_sets(quotas, centers, wmasks):
-        group = _clique_at_least(adj, umask, m, budget)
-        if group is not None:
-            return _violation(notion, y, ell, tuple(group), (), centers, wmasks)
-    return None
-
-
-def _clique_at_least(adj, allowed, m, budget):
-    """First clique (by index order) of size >= m inside ``allowed``."""
-
-    def rec(chosen, avail):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _BudgetExceeded
-        if len(chosen) >= m:
-            return chosen
-        while avail:
-            if len(chosen) + avail.bit_count() < m:
-                return None
-            v = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            if len(chosen) + 1 + (avail & adj[v]).bit_count() >= m:
-                found = rec(chosen + [v], avail & adj[v])
-                if found is not None:
-                    return found
-        return None
-
-    if m == 0:
-        return []
-    return rec([], allowed)

@@ -61,20 +61,38 @@ def top_group(ratios, m):
     return ratios[order[m - 1]], group
 
 
+def q_group_min_ratio(instance, outcome, q, agents, cands):
+    """Re-evaluate a q-core witness: the worst improvement ratio of
+    ``agents`` measured at their q-th closest point of ``cands``."""
+    dqW = dists_to_centers(instance, outcome, q)
+    vals = []
+    for i in agents:
+        dqc = heapq.nsmallest(q, (instance.d_ac(i, j) for j in cands))[-1]
+        vals.append(ratio(dqW[i], dqc))
+    return min(vals)
+
+
+def q_group_sum_ratio(instance, outcome, q, agents, cands):
+    """Re-evaluate a q-transferable-core witness (ratio of summed q-th
+    distances)."""
+    dqW = dists_to_centers(instance, outcome, q)
+    sw = sum(dqW[i] for i in agents)
+    sv = sum(
+        heapq.nsmallest(q, (instance.d_ac(i, j) for j in cands))[-1] for i in agents
+    )
+    return ratio(sw, sv) if (sv != 0 or sw != 0) else 1
+
+
 def group_min_ratio(instance, outcome, agents, cand):
-    """Re-evaluate a proportional-fairness witness: the worst improvement
-    ratio of ``agents`` deviating to candidate index ``cand``."""
-    dW = dists_to_centers(instance, outcome)
-    return min(ratio(dW[i], instance.d_ac(i, cand)) for i in agents)
+    """Re-evaluate a proportional-fairness witness: the q-core re-evaluator
+    at q = 1 with the one candidate index ``cand``."""
+    return q_group_min_ratio(instance, outcome, 1, agents, (cand,))
 
 
 def group_sum_ratio(instance, outcome, agents, cand):
-    """Re-evaluate a transferable-core witness: ratio of summed center
-    distances to summed distances to candidate index ``cand``."""
-    dW = dists_to_centers(instance, outcome)
-    sw = sum(dW[i] for i in agents)
-    sv = sum(instance.d_ac(i, cand) for i in agents)
-    return ratio(sw, sv) if (sv != 0 or sw != 0) else 1
+    """Re-evaluate a transferable-core witness: the q-tc re-evaluator at
+    q = 1 with the one candidate index ``cand``."""
+    return q_group_sum_ratio(instance, outcome, 1, agents, (cand,))
 
 
 def pf_min_alpha(instance, outcome):

@@ -6,7 +6,8 @@ Instances travel as JSON files:
      "agents": [0, 1, 2], "candidates": "all", "k": 2}
 
 Metric types: "graph" (undirected, rational weights as ints or [num, den]
-pairs), "points" ({"dim", "coords", "norm"}), and "matrix" ({"d": rows}).
+pairs), "points" ({"dim", "coords", "norm"}), and "matrix" ({"d": rows}
+of such weights or finite floats).
 Outcomes are {"W": [candidate indices, ...]}.
 
 Exit codes: 0 success (for pass/fail audits: pass), 1 audit violation,
@@ -24,7 +25,7 @@ from fractions import Fraction
 from . import algorithms, audit_multi, audit_rank, audit_single, fixtures
 from .generate import generate_family
 from .instance import Instance, Outcome, validate
-from .metric import MetricSpace, _as_id, as_weight
+from .metric import MetricSpace, _as_distance, _as_id
 from .reports import CAP_EXHAUSTED, VIOLATION, encode_value
 
 
@@ -41,9 +42,7 @@ def parse_instance(obj):
                 if dim != width:
                     raise ValueError(f"dim {dim} does not match {width}-coordinate points")
         elif mtype == "matrix":
-            space = MetricSpace.from_matrix(
-                [[as_weight(x) for x in row] for row in metric["d"]]
-            )
+            space = MetricSpace.from_matrix([[_as_distance(x) for x in row] for row in metric["d"]])
         else:
             raise ValueError(f"unknown metric type {mtype!r}")
         candidates = obj.get("candidates", "all")
@@ -108,8 +107,7 @@ NUMERIC_NOTIONS = ("pf", "if", "tc", "qcore", "qif", "qtc")
 RANK_NOTIONS = ("rank-jr", "rank-pjr", "rank-pjr+", "dprf", "uprf")
 
 
-def run_audit(instance, outcome, notion, gamma=None, q=None, cap=None, caps=None):
-    caps = caps or audit_rank.Caps()
+def run_audit(instance, outcome, notion, gamma=None, q=None, cap=None):
     gamma = 1 if gamma is None else gamma
     q = 1 if q is None else q
     if notion == "pf":
@@ -127,13 +125,13 @@ def run_audit(instance, outcome, notion, gamma=None, q=None, cap=None, caps=None
     if notion == "rank-jr":
         return audit_rank.rank_jr_check(instance, outcome)
     if notion == "rank-pjr":
-        return audit_rank.rank_pjr_check(instance, outcome, caps)
+        return audit_rank.rank_pjr_check(instance, outcome)
     if notion == "rank-pjr+":
-        return audit_rank.rank_pjr_plus_check(instance, outcome, caps)
+        return audit_rank.rank_pjr_plus_check(instance, outcome)
     if notion == "dprf":
-        return audit_rank.dprf_check(instance, outcome, caps)
+        return audit_rank.dprf_check(instance, outcome)
     if notion == "uprf":
-        return audit_rank.uprf_check(instance, outcome, caps)
+        return audit_rank.uprf_check(instance, outcome)
     raise ValueError(f"unknown notion {notion!r}")
 
 
@@ -167,12 +165,9 @@ def _evaluate_case(case):
     else:
         instance, labels = case.build()
         outcome = None
-    if case.notion == "solve-gc":
-        got, _ = algorithms.greedy_capture(instance)
-        expected = frozenset(labels[x] for x in case.outcome)
-        return sorted(got.centers), sorted(expected), got.centers == expected
-    if case.notion == "solve-ea":
-        got, _ = algorithms.expanding_approvals(instance)
+    if case.notion.startswith("solve-"):
+        rules = {"solve-gc": algorithms.greedy_capture, "solve-ea": algorithms.expanding_approvals}
+        got, _ = rules[case.notion](instance)
         expected = frozenset(labels[x] for x in case.outcome)
         return sorted(got.centers), sorted(expected), got.centers == expected
     if outcome is None:

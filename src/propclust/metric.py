@@ -61,6 +61,15 @@ def as_weight(w):
     raise ValueError(f"invalid weight: {w!r}")
 
 
+def _as_distance(x):
+    """Coerce a matrix entry: a finite non-negative float, or a weight."""
+    if isinstance(x, float):
+        if not math.isfinite(x) or x < 0:
+            raise ValueError(f"invalid distance: {x!r}")
+        return x
+    return as_weight(x)
+
+
 class MetricSpace:
     """Immutable distance oracle over points ``0 .. num_points - 1``.
 

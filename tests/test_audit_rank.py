@@ -210,3 +210,14 @@ def test_violation_found_before_cap_is_exact():
     report = dprf_check(inst, W, Caps(node_budget=10**9))
     assert not report.passed
     assert report.status == "exact"
+
+
+def test_rank_jr_is_never_budgeted():
+    # ~1,100 thresholds below the center's 0.5 each leave both agents
+    # uncovered, so a search charging one node per candidate per threshold
+    # would spend more than the default million nodes
+    extra = [(t / 2750, 0.0) for t in range(1, 1101)]
+    space = MetricSpace.from_points([(0.0, 0.0), (1.0, 0.0), (0.5, 0.0)] + extra)
+    inst = Instance(space, (0, 1), tuple(range(2, 1103)), 1)
+    report = rank_jr_check(inst, Outcome([0]))
+    assert (report.value, report.status) == ("pass", "exact")

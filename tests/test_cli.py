@@ -8,6 +8,8 @@ import pytest
 from propclust.cli import main, parse_instance
 from propclust.generate import generate_family, instance_to_file
 from propclust.generate import random_instance
+from propclust.instance import Instance
+from propclust.metric import MetricSpace
 import random
 
 
@@ -112,7 +114,10 @@ def test_solve_parse_error_exit2(tmp_path, capsys):
     zero_den_graph = {"type": "graph", "nodes": 2, "edges": [[0, 1, [1, 0]]]}
     zero_den_matrix = {"type": "matrix", "d": [[0, [1, 0]], [[1, 0], 0]]}
     wrong_dim = {"type": "points", "dim": 3, "coords": [[0, 0], [1, 0]]}
-    for metric in ({"type": "nope"}, zero_den_graph, zero_den_matrix, wrong_dim):
+    nan_matrix = {"type": "matrix", "d": [[0, math.nan], [math.nan, 0]]}
+    inf_matrix = {"type": "matrix", "d": [[0, math.inf], [math.inf, 0]]}
+    metrics = ({"type": "nope"}, zero_den_graph, zero_den_matrix, wrong_dim, nan_matrix, inf_matrix)
+    for metric in metrics:
         payload = {"metric": metric, "agents": [0, 1], "candidates": "all", "k": 1}
         bad = write(tmp_path, "bad.json", payload)
         assert run_cli("solve", "--alg", "gc", "--input", bad) == 2, metric
@@ -292,8 +297,9 @@ def test_repro_unknown_fixture(capsys):
 
 def test_instance_round_trip():
     rng = random.Random(31)
-    for _ in range(10):
-        inst = random_instance(rng, 8, 10, 3)
+    float_matrix = MetricSpace.from_matrix([[0, 0.5, 1.0], [0.5, 0, 0.75], [1.0, 0.75, 0]])
+    instances = [random_instance(rng, 8, 10, 3) for _ in range(10)]
+    for inst in instances + [Instance(float_matrix, (0, 1, 2), "all", 1)]:
         back = parse_instance(instance_to_file(inst))
         assert back.agents == inst.agents
         assert back.candidates == inst.candidates
