@@ -154,7 +154,8 @@ def expanding_approvals(instance, deduct_order=None):
     closed = list(range(width))
     opened = []
     events = []
-    for delta, balls in zip(levels, _growing_masks(width, pairs, levels, instance.space.limit)):
+    grown = _growing_masks(width, pairs, levels, instance.space.limit)
+    for delta, (balls, _) in zip(levels, grown):
         if len(opened) == k:
             break
         while len(opened) < k:

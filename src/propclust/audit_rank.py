@@ -7,19 +7,24 @@ only at realized agent-candidate distances, so auditing the finite sorted
 threshold list is equivalent to auditing all real y.
 
 All five axioms run through one incremental scan.  The (distance, row,
-bit) pairs are sorted once and OR-ed into the approval, adjacency and
-winner bitmasks as the threshold grows.  The sweep is
+bit) pairs are sorted once and OR-ed into the approval or adjacency masks
+and into the centers' balls as the threshold grows.  The sweep is
 ``instance._growing_masks``, which expanding approvals reads too, and the
 within-y rule is the metric space's ``limit`` (exact on exact data, a
 small slack on floats).
 
 At each threshold the scan walks every cover set: for ell and a set Y of
 ell - 1 centers, the agents approving no center outside Y, who together
-approve fewer than ell centers.  Each axiom supplies only a search inside
-one cover set, and the scan builds the violation from what it finds:
-rank-pjr and dprf look for ell candidates that a quota of the cover set
-all approve, rank-pjr+ for one such unopened candidate, and uprf for a
-quota within the threshold of one another (an index-ordered
+approve fewer than ell centers.  The cover sets live across thresholds:
+a cover set changes only where an agent of it enters a ball of a center
+outside Y, and one that falls below its quota is dropped for good.  A
+failed search whose cover set and masks inside it are unchanged is not
+run again; the scan charges the nodes it charged last time, so a budget
+runs out exactly where re-running it would.  Each axiom supplies only a
+search inside one cover set, and the scan builds the violation from what
+it finds: rank-pjr and dprf look for ell candidates that a quota of the
+cover set all approve, rank-pjr+ for one such unopened candidate, and
+uprf for a quota within the threshold of one another (an index-ordered
 branch-and-bound clique search).  rank-jr is the ell = 1 row of rank-pjr+
 over every candidate: the ell = 1 cover set is the agents approving no
 center, and a center's approvers are never among them.
@@ -67,62 +72,85 @@ def _proximity(instance):
     return sorted({0} | {d for d, _, _ in pairs}), instance.n, pairs
 
 
-def _cover_sets(quotas, centers, wmasks):
-    """Yield (ell, m, umask) for every cover set worth searching.
-
-    For each (ell, m) of ``quotas``, and for each set Y of
-    min(ell - 1, |W|) center positions in combinations order, umask holds
-    the agents approving no center outside Y, so any group inside it
-    approves fewer than ell centers.  Cover sets leaving fewer than m such
-    agents are skipped.
-    """
-    n = len(wmasks)
-    for ell, m in quotas:
-        for ysub in combinations(range(len(centers)), min(ell - 1, len(centers))):
-            ymask = 0
-            for p in ysub:
-                ymask |= 1 << p
-            umask = 0
-            for i in range(n):
-                if wmasks[i] & ~ymask == 0:
-                    umask |= 1 << i
-            if umask.bit_count() >= m:
-                yield ell, m, umask
-
-
 def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     """Search every cover set for ell = 1 .. ``max_ell`` at every threshold
     of ``sweep = (ys, width, pairs)`` until ``search`` finds a violation.
+
+    A cover set is an (ell, m, Y) for a set Y of min(ell - 1, |W|) center
+    positions, in combinations order within each ell: its umask holds the
+    agents in no ball of a center outside Y, so any group inside it
+    approves fewer than ell centers.  The cover sets are built once and
+    kept live across thresholds.  Balls only grow, so a umask only loses
+    agents: it is updated only where an agent entered a center's ball, and
+    a cover set is dropped for good once it holds fewer than its quota m.
 
     ``search(masks, ell, m, umask, budget)`` gets the sweep's ``width``
     masks at the threshold, the cover set's ell, quota m and agent mask,
     and the one-element node budget it may charge.  It returns (group,
     witness candidates), the group as a bit mask of at least m agents
-    inside umask, or None.  The masks change in place at the next
-    threshold, and the scan builds the report, covered winners included,
-    before that.
+    inside umask, or None.  A search must read the masks only inside
+    umask (``mask & umask``, or the masks of agents in umask), so it
+    returns the same and charges the same while neither its umask nor
+    those bits change.  The scan therefore replays a failed search whose
+    umask is unchanged and whose sweep added no bit inside that umask: it
+    charges the nodes the search charged last time, and runs out where the
+    search would have.  The masks change in place at the next threshold,
+    and the scan builds the report, covered winners included, before that.
     """
     ys, width, pairs = sweep
     n, k = instance.n, instance.k
-    quotas = [(ell, quota(n, k, ell, 1)) for ell in range(1, max_ell + 1)]
     centers = outcome.sorted_centers()
+    everyone = (1 << n) - 1
+    live = []  # [ell, m, positions outside Y, umask, nodes of the last failed search]
+    for ell in range(1, max_ell + 1):
+        m = quota(n, k, ell, 1)
+        if m > n:
+            continue
+        for ysub in combinations(range(len(centers)), min(ell - 1, len(centers))):
+            outside = tuple(p for p in range(len(centers)) if p not in ysub)
+            live.append([ell, m, outside, everyone, None])
     rows = instance.dist_rows
-    wpairs = [(row[c], i, p) for i, row in enumerate(rows) for p, c in enumerate(centers)]
+    wpairs = [(row[c], p, i) for i, row in enumerate(rows) for p, c in enumerate(centers)]
     limit = instance.space.limit
-    grown = zip(ys, _growing_masks(width, pairs, ys, limit), _growing_masks(n, wpairs, ys, limit))
+    grown = zip(
+        ys,
+        _growing_masks(width, pairs, ys, limit),
+        _growing_masks(len(centers), wpairs, ys, limit),
+    )
     budget = [caps.node_budget]
     try:
-        for y, masks, wmasks in grown:
-            for ell, m, umask in _cover_sets(quotas, centers, wmasks):
+        for y, (masks, entered), (balls, covered) in grown:
+            if covered:
+                kept = []
+                for cover in live:
+                    umask = cover[3]
+                    if umask & covered:
+                        for p in cover[2]:
+                            umask &= ~balls[p]
+                        if umask.bit_count() < cover[1]:
+                            continue
+                        if umask != cover[3]:
+                            cover[3] = umask
+                            cover[4] = None
+                    kept.append(cover)
+                live = kept
+                if not live:
+                    break
+            for cover in live:
+                ell, m, _, umask, spent = cover
+                if spent is not None and not entered & umask:
+                    budget[0] -= spent
+                    if budget[0] < 0:
+                        raise _BudgetExceeded
+                    continue
+                before = budget[0]
                 hit = search(masks, ell, m, umask, budget)
                 if hit is None:
+                    cover[4] = before - budget[0]
                     continue
-                group, cands = tuple(_bits(hit[0])), hit[1]
-                seen = 0
-                for i in group:
-                    seen |= wmasks[i]
-                covered = tuple(centers[p] for p in _bits(seen))
-                violation = RankViolation(notion, y, ell, group, cands, covered)
+                group, cands = hit
+                winners = tuple(c for c, ball in zip(centers, balls) if ball & group)
+                violation = RankViolation(notion, y, ell, tuple(_bits(group)), cands, winners)
                 return AuditReport(notion, {}, VIOLATION, violation, EXACT)
     except _BudgetExceeded:
         return AuditReport(notion, {}, PASS, None, CAP_EXHAUSTED)
@@ -170,26 +198,33 @@ def _unopened(unopened, cols, ell, m, umask, budget):
 def _clique_at_least(adj, ell, m, umask, budget):
     """uprf: the first clique of m agents in the cover set.  Agents join in
     index order, so the clique found is the first one in that order."""
+    left = budget[0]
 
-    def rec(chosen, size, avail):
-        budget[0] -= 1
-        if budget[0] < 0:
+    def rec(chosen, size, avail, count):
+        nonlocal left
+        left -= 1
+        if left < 0:
             raise _BudgetExceeded
         if size >= m:
             return chosen
         while avail:
-            if size + avail.bit_count() < m:
+            if size + count < m:
                 return None
             low = avail & -avail
             avail ^= low
+            count -= 1
             nbrs = avail & adj[low.bit_length() - 1]
-            if size + 1 + nbrs.bit_count() >= m:
-                found = rec(chosen | low, size + 1, nbrs)
+            grow = nbrs.bit_count()
+            if size + 1 + grow >= m:
+                found = rec(chosen | low, size + 1, nbrs, grow)
                 if found is not None:
                     return found
         return None
 
-    group = rec(0, 0, umask)
+    try:
+        group = rec(0, 0, umask, umask.bit_count())
+    finally:
+        budget[0] = left
     return None if group is None else (group, ())
 
 

@@ -51,8 +51,13 @@ def random_instance(rng, max_n=12, max_c=12, max_k=5, mode=None):
 
     ``mode`` forces the agent/candidate relationship: "equal" (N = C),
     "subset" (agents strictly inside candidates), "free" (candidates are an
-    arbitrary point subset), or None for a seeded mix.
+    arbitrary point subset), or None for a seeded mix.  ``max_n`` must be
+    at least 2 and ``max_k`` at least 1; both are checked before any draw.
     """
+    if max_n < 2:
+        raise ValueError(f"max_n must be >= 2, got {max_n}")
+    if max_k < 1:
+        raise ValueError(f"max_k must be >= 1, got {max_k}")
     if mode is None:
         mode = rng.choice(["equal", "equal", "subset", "subset", "free"])
     n = rng.randint(2, max_n)

@@ -125,8 +125,10 @@ class Instance:
 
 
 def _growing_masks(size, pairs, ys, limit):
-    """Yield ``size`` bitmasks at each threshold y of the ascending ``ys``:
-    mask ``row`` holds ``bit`` for every pair ``(d, row, bit)`` within y.
+    """Yield ``(masks, entered)`` at each threshold y of the ascending
+    ``ys``: the ``size`` bitmasks, mask ``row`` holding ``bit`` for every
+    pair ``(d, row, bit)`` within y, and ``entered``, the OR of
+    ``1 << bit`` over the pairs that came within y at this threshold.
 
     Every rule and auditor that sweeps thresholds reads its masks here; a
     distance d is within y when ``d <= limit(y)``, where ``limit`` is the
@@ -140,11 +142,14 @@ def _growing_masks(size, pairs, ys, limit):
     pos = 0
     for y in ys:
         bound = limit(y)
+        entered = 0
         while pos < len(pairs) and pairs[pos][0] <= bound:
             _, row, bit = pairs[pos]
-            masks[row] |= 1 << bit
+            b = 1 << bit
+            masks[row] |= b
+            entered |= b
             pos += 1
-        yield masks
+        yield masks, entered
 
 
 def _approvals(instance):

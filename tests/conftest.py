@@ -1,7 +1,9 @@
+import os
 import random
 
 import pytest
 
+import propclust
 from propclust.generate import random_instance
 
 
@@ -17,6 +19,17 @@ def small_corpus():
     """120 small instances for in-module oracle spot checks."""
     rng = random.Random(4242)
     return [random_instance(rng, 7, 6, 4) for _ in range(120)]
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for a ``python -m propclust.cli`` child process: the
+    directory holding the imported package comes first on PYTHONPATH, so
+    the child runs the same code from a checkout or an install."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(propclust.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def pytest_configure(config):

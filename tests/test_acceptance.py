@@ -350,7 +350,7 @@ def _close(a, b):
     return a == b or abs(a - b) < 1e-9
 
 
-def test_criterion_7_determinism():
+def test_criterion_7_determinism(child_env):
     t0 = time.time()
     rng = random.Random(2718)
     for _ in range(10):
@@ -384,8 +384,8 @@ def test_criterion_7_determinism():
         "--seed",
         "17",
     ]
-    run1 = subprocess.run(cmd, capture_output=True)
-    run2 = subprocess.run(cmd, capture_output=True)
+    run1 = subprocess.run(cmd, capture_output=True, env=child_env)
+    run2 = subprocess.run(cmd, capture_output=True, env=child_env)
     assert run1.returncode == run2.returncode == 0
     assert run1.stdout == run2.stdout
     elapsed = time.time() - t0

@@ -15,7 +15,8 @@ from propclust import (
 )
 from propclust import fixtures
 from propclust.fixtures import outcome_of
-from propclust.generate import random_instance
+from propclust.cli import parse_instance
+from propclust.generate import generate_family, random_instance
 from propclust.reports import CAP_EXHAUSTED
 from propclust import oracle as orc
 
@@ -210,6 +211,18 @@ def test_violation_found_before_cap_is_exact():
     report = dprf_check(inst, W, Caps(node_budget=10**9))
     assert not report.passed
     assert report.status == "exact"
+
+
+def test_replayed_searches_charge_their_nodes():
+    # an unchanged failed search is replayed, not re-run, and still costs
+    # the nodes it charged: the violation needs exactly 1736 nodes here,
+    # and a replay that charged nothing would find it with 1421
+    inst = parse_instance(generate_family("euclidean", 12, 5, 10))
+    W = Outcome(frozenset({0, 1, 10}))
+    short = rank_pjr_plus_check(inst, W, Caps(1735))
+    assert (short.value, short.status) == ("pass", CAP_EXHAUSTED)
+    enough = rank_pjr_plus_check(inst, W, Caps(1736))
+    assert (enough.value, enough.status) == ("violation", "exact")
 
 
 def test_rank_jr_is_never_budgeted():

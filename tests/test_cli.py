@@ -68,6 +68,17 @@ def test_gen_rejects_sizes_without_an_instance(capsys, family, n, k, bad):
     assert f"needs {bad} >=" in json.loads(captured.err)["error"]
 
 
+@pytest.mark.parametrize(
+    "args, bad", [((1, 8, 4), "max_n must be >= 2"), ((8, 8, 0), "max_k must be >= 1")]
+)
+def test_random_instance_names_bad_sizes(args, bad):
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=bad):
+        random_instance(rng, *args)
+    assert rng.getstate() == state  # rejected before any draw
+
+
 @pytest.mark.parametrize("family, n, k", [("blocks", 2, 2), ("euclidean", 1, 1), ("graph", 1, 1)])
 def test_gen_smallest_sizes_parse(capsys, family, n, k):
     assert run_cli("gen", "--family", family, "--n", str(n), "--k", str(k)) == 0
@@ -309,12 +320,13 @@ def test_instance_round_trip():
                 assert abs(back.space.dist(i, j) - inst.space.dist(i, j)) < 1e-12
 
 
-def test_cli_entrypoint_subprocess(tmp_path):
+def test_cli_entrypoint_subprocess(tmp_path, child_env):
     # the installed console script path: module invocation mirrors it
     proc = subprocess.run(
         [sys.executable, "-m", "propclust.cli", "repro", "--case", "fig4b"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
