@@ -20,11 +20,13 @@ a cover set changes only where an agent of it enters a ball of a center
 outside Y, and one that falls below its quota is dropped for good.  A
 failed search whose cover set and masks inside it are unchanged is not
 run again; the scan charges the nodes it charged last time, so a budget
-runs out exactly where re-running it would.  Each axiom supplies only a
-search inside one cover set, and the scan builds the violation from what
-it finds: rank-pjr and dprf look for ell candidates that a quota of the
-cover set all approve, rank-pjr+ for one such unopened candidate, and
-uprf for a quota within the threshold of one another (an index-ordered
+runs out exactly where re-running it would.  The uprf search does the
+same for each failed subtree whose edges are unchanged, within a search
+and across thresholds.  Each axiom supplies only a search inside one
+cover set, and the scan builds the violation from what it finds:
+rank-pjr and dprf look for ell candidates that a quota of the cover set
+all approve, rank-pjr+ for one such unopened candidate, and uprf for a
+quota within the threshold of one another (an index-ordered
 branch-and-bound clique search).  rank-jr is the ell = 1 row of rank-pjr+
 over every candidate: the ell = 1 cover set is the agents approving no
 center, and a center's approvers are never among them.
@@ -32,8 +34,9 @@ center, and a center's approvers are never among them.
 Every search is exact: a violating group always induces a (target, cover
 set) pair, and any pair found certifies a violation.  The rank-jr search is
 polynomial and never charged, so its verdict is always exact; the others
-charge one node per ell-set, unopened candidate or clique node, and a
-"pass" returned after an exhausted node budget is flagged, never silent.
+charge one node per ell-set, unopened candidate or clique node, replayed
+searches and subtrees included, and a "pass" returned after an exhausted
+node budget is flagged, never silent.
 """
 
 from __future__ import annotations
@@ -48,7 +51,11 @@ from .reports import CAP_EXHAUSTED, EXACT, PASS, VIOLATION, AuditReport, RankVio
 
 @dataclass(frozen=True)
 class Caps:
-    """Budget on enumerated search nodes across one audit call."""
+    """Budget on enumerated search nodes across one audit call.
+
+    The nodes charged are those of the plain, unreplayed search: a replayed
+    search or clique subtree charges the nodes it charged when it ran.
+    """
 
     node_budget: int = 1_000_000
 
@@ -84,31 +91,38 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     agents: it is updated only where an agent entered a center's ball, and
     a cover set is dropped for good once it holds fewer than its quota m.
 
-    ``search(masks, ell, m, umask, budget)`` gets the sweep's ``width``
-    masks at the threshold, the cover set's ell, quota m and agent mask,
-    and the one-element node budget it may charge.  It returns (group,
-    witness candidates), the group as a bit mask of at least m agents
-    inside umask, or None.  A search must read the masks only inside
-    umask (``mask & umask``, or the masks of agents in umask), so it
-    returns the same and charges the same while neither its umask nor
-    those bits change.  The scan therefore replays a failed search whose
-    umask is unchanged and whose sweep added no bit inside that umask: it
-    charges the nodes the search charged last time, and runs out where the
-    search would have.  The masks change in place at the next threshold,
-    and the scan builds the report, covered winners included, before that.
+    ``search(masks, ell, m, umask, budget, memo, entered)`` gets the
+    sweep's ``width`` masks at the threshold, the cover set's ell, quota m
+    and agent mask, the one-element node budget it may charge, the cover
+    set's own dict ``memo`` and the threshold's ``entered`` bits.  It
+    returns (group, witness candidates), the group as a bit mask of at
+    least m agents inside umask, or None.  A search must read the masks
+    only inside umask (``mask & umask``, or the masks of agents in umask),
+    so it returns the same and charges the same while neither its umask
+    nor those bits change.  The scan therefore replays a failed search
+    whose umask is unchanged and whose sweep added no bit inside that
+    umask: it charges the nodes the search charged last time, and runs out
+    where the search would have.  So between two searches of a cover set,
+    only the later threshold's ``entered`` can have added bits inside the
+    earlier one's umask.  The uprf search relies on this to keep its
+    failed subtrees in ``memo`` across thresholds; the other searches
+    ignore ``memo`` and ``entered``.  The masks change in place at the
+    next threshold, and the scan builds the report, covered winners
+    included, before that.
     """
     ys, width, pairs = sweep
     n, k = instance.n, instance.k
     centers = outcome.sorted_centers()
     everyone = (1 << n) - 1
-    live = []  # [ell, m, positions outside Y, umask, nodes of the last failed search]
+    # [ell, m, positions outside Y, umask, nodes of the last failed search, memo]
+    live = []
     for ell in range(1, max_ell + 1):
         m = quota(n, k, ell, 1)
         if m > n:
             continue
         for ysub in combinations(range(len(centers)), min(ell - 1, len(centers))):
             outside = tuple(p for p in range(len(centers)) if p not in ysub)
-            live.append([ell, m, outside, everyone, None])
+            live.append([ell, m, outside, everyone, None, {}])
     rows = instance.dist_rows
     wpairs = [(row[c], p, i) for i, row in enumerate(rows) for p, c in enumerate(centers)]
     limit = instance.space.limit
@@ -137,14 +151,14 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
                 if not live:
                     break
             for cover in live:
-                ell, m, _, umask, spent = cover
+                ell, m, _, umask, spent, memo = cover
                 if spent is not None and not entered & umask:
                     budget[0] -= spent
                     if budget[0] < 0:
                         raise _BudgetExceeded
                     continue
                 before = budget[0]
-                hit = search(masks, ell, m, umask, budget)
+                hit = search(masks, ell, m, umask, budget, memo, entered)
                 if hit is None:
                     cover[4] = before - budget[0]
                     continue
@@ -157,7 +171,7 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     return AuditReport(notion, {}, PASS, None, EXACT)
 
 
-def _any_candidate(cols, ell, m, umask, budget):
+def _any_candidate(cols, ell, m, umask, budget, *_):
     """rank-jr: any candidate with m approvers in the cover set; unbudgeted."""
     for j, col in enumerate(cols):
         if (col & umask).bit_count() >= m:
@@ -165,7 +179,7 @@ def _any_candidate(cols, ell, m, umask, budget):
     return None
 
 
-def _ell_sets(cols, ell, m, umask, budget):
+def _ell_sets(cols, ell, m, umask, budget, *_):
     """rank-pjr and dprf: the first ell candidates, among those with m
     approvers in the cover set, that m of its agents all approve."""
     frequent = [j for j, col in enumerate(cols) if (col & umask).bit_count() >= m]
@@ -183,7 +197,7 @@ def _ell_sets(cols, ell, m, umask, budget):
     return None
 
 
-def _unopened(unopened, cols, ell, m, umask, budget):
+def _unopened(unopened, cols, ell, m, umask, budget, *_):
     """rank-pjr+: the first unopened candidate with m approvers in the
     cover set."""
     for j in unopened:
@@ -195,37 +209,74 @@ def _unopened(unopened, cols, ell, m, umask, budget):
     return None
 
 
-def _clique_at_least(adj, ell, m, umask, budget):
+def _clique_at_least(adj, ell, m, umask, budget, memo, entered):
     """uprf: the first clique of m agents in the cover set.  Agents join in
-    index order, so the clique found is the first one in that order."""
+    index order, so the clique found is the first one in that order.
+
+    A depth-first branch and bound on an explicit stack (a clique of a
+    thousand agents nests a thousand deep), charging one node per node
+    entered.  A node's subtree depends only on ``need``, the agents it
+    still needs, on ``avail``, the agents it may add, and on the edges
+    inside ``avail``, and edges are only ever added.  So a failed subtree
+    of more than 3 nodes is stored as ``(need, avail): nodes charged``, and
+    a node whose key is stored is not entered: its nodes are charged, and
+    a budget runs out where the subtree would have run it out.  Keys this
+    search stored are reused as they are.  ``memo`` holds the keys the
+    cover set's latest search looked up or stored; one is reused while
+    fewer than two bits of ``entered`` lie in its ``avail``, since a new
+    edge inside it would set both of its ends.  A failed search leaves its
+    own keys in ``memo``.  Found subtrees are never stored and the
+    branching order is the plain search's, so the clique found and the
+    node where a budget runs out are the plain search's too.
+    """
     left = budget[0]
-
-    def rec(chosen, size, avail, count):
-        nonlocal left
-        left -= 1
-        if left < 0:
-            raise _BudgetExceeded
-        if size >= m:
-            return chosen
-        while avail:
-            if size + count < m:
-                return None
-            low = avail & -avail
-            avail ^= low
-            count -= 1
-            nbrs = avail & adj[low.bit_length() - 1]
-            grow = nbrs.bit_count()
-            if size + 1 + grow >= m:
-                found = rec(chosen | low, size + 1, nbrs, grow)
-                if found is not None:
-                    return found
-        return None
-
+    fresh = {}
+    stack = []  # the suspended ancestors: (chosen, need, avail, count, key, left on entry)
+    chosen, need, avail, count = 0, m, umask, umask.bit_count()
     try:
-        group = rec(0, 0, umask, umask.bit_count())
+        while True:
+            # enter a node: replay its stored subtree, or charge it
+            key = (need, avail)
+            spent = fresh.get(key)
+            if spent is None and key in memo and (avail & entered).bit_count() < 2:
+                spent = memo[key]
+            start = left
+            if spent is None:
+                left -= 1
+                if left < 0:
+                    raise _BudgetExceeded
+                if need <= 0:
+                    return chosen, ()
+            else:
+                left -= spent
+                if left < 0:
+                    raise _BudgetExceeded
+                avail = 0
+            # branch from the innermost open node, backing up past the
+            # nodes with no agent left to add
+            while True:
+                while avail and count >= need:
+                    low = avail & -avail
+                    avail ^= low
+                    count -= 1
+                    nbrs = avail & adj[low.bit_length() - 1]
+                    grow = nbrs.bit_count()
+                    if grow >= need - 1:
+                        break
+                else:
+                    if start - left > 3:
+                        fresh[key] = start - left
+                    if not stack:
+                        memo.clear()
+                        memo.update(fresh)
+                        return None
+                    chosen, need, avail, count, key, start = stack.pop()
+                    continue
+                stack.append((chosen, need, avail, count, key, start))
+                chosen, need, avail, count = chosen | low, need - 1, nbrs, grow
+                break
     finally:
         budget[0] = left
-    return None if group is None else (group, ())
 
 
 def rank_jr_check(instance, outcome):

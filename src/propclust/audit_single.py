@@ -185,9 +185,13 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     float group ratio can round past its members', so on float data a
     summed scan widens G_i by _FLOAT_ROOM and scores every survivor; on
     exact data it scores only the survivors that pass ``may_beat`` at b.
+    At q = 1 on exact data a summed scan skips the G_i test and leaves
+    each subset to ``may_beat``: the test's ratios, one per agent and
+    candidate, cost more than the test saves there.
     """
     n, k = instance.n, instance.k
     room = _FLOAT_ROOM if summed and not instance.space.exact else 0
+    unfiltered = summed and not room and q == 1
     dqW = dists_to_centers(instance, outcome, q)
     by_candidate = list(zip(*instance.dist_rows))
     dcols = [by_candidate[j] for j in pool]
@@ -207,21 +211,23 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
         hits = [sum(1 << i for i, _ in column) for column in columns]
         return columns, hits, _reach(hits, range(width), q).bit_count()
 
-    # r_ij >= 1 exactly when d_q(i, W) >= d(i, j); only rounding room
-    # needs the ratios below 1
-    columns = [
-        [(i, ratio(w, d)) for i, (w, d) in enumerate(zip(dqW, dcol)) if room or w >= d]
-        for dcol in dcols
-    ]
     best = None
-    columns, hits, reach = hit_masks(columns, None)
+    reach = n
+    if not unfiltered:
+        # r_ij >= 1 exactly when d_q(i, W) >= d(i, j); only rounding room
+        # needs the ratios below 1
+        columns = [
+            [(i, ratio(w, d)) for i, (w, d) in enumerate(zip(dqW, dcol)) if room or w >= d]
+            for dcol in dcols
+        ]
+        columns, hits, reach = hit_masks(columns, None)
     for size in range(q, min(size_cap, width, k) + 1):
         m = quota(n, k, size, gamma)
         need = 1 if summed else m
         if m > n or reach < need:
             break
         for csub in combinations(range(width), size):
-            if _reach(hits, csub, q).bit_count() < need:
+            if not unfiltered and _reach(hits, csub, q).bit_count() < need:
                 continue
             incumbent = None if best is None else best[0]
             if summed:
@@ -238,7 +244,10 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
                 value, group = top_group(terms, m)
             if group is not None and (value >= 1 if best is None else value > incumbent):
                 best = (value, csub, group, size)
-                columns, hits, reach = hit_masks(columns, value)
+                if not unfiltered:
+                    columns, hits, reach = hit_masks(columns, value)
+                elif value == math.inf:
+                    reach = 0
                 if reach < need:
                     break
     if best is None:

@@ -7,13 +7,14 @@ from propclust import (
     Outcome,
     dprf_check,
     expanding_approvals,
+    greedy_capture,
     rank_jr_check,
     rank_pjr_check,
     rank_pjr_plus_check,
     thresholds,
     uprf_check,
 )
-from propclust import fixtures
+from propclust import audit_rank, fixtures
 from propclust.fixtures import outcome_of
 from propclust.cli import parse_instance
 from propclust.generate import generate_family, random_instance
@@ -234,3 +235,91 @@ def test_rank_jr_is_never_budgeted():
     inst = Instance(space, (0, 1), tuple(range(2, 1103)), 1)
     report = rank_jr_check(inst, Outcome([0]))
     assert (report.value, report.status) == ("pass", "exact")
+
+
+def test_uprf_clique_search_is_not_recursive():
+    # 1,100 co-located agents and k = 1: the clique of everyone is 1,100
+    # agents deep, past Python's recursion limit
+    space = MetricSpace.from_points([[0.0, 0.0]] * 1100)
+    inst = Instance(space, tuple(range(1100)), "all", 1)
+    report = uprf_check(inst, Outcome(frozenset()))
+    assert (report.value, report.status) == ("violation", "exact")
+    assert report.witness.group == tuple(range(1100))
+
+
+def test_uprf_budget_runs_out_where_it_did():
+    # the last budget that runs out and the first that finds the
+    # violation, on float data and on tied graph thresholds
+    for family, short, y, winners in (
+        ("euclidean", 8_261_433, 0.7852615076052013, (16, 78)),
+        ("graph", 2_161_441, 25, (3, 5)),
+    ):
+        inst = parse_instance(generate_family(family, 80, 5, 1))
+        W, _ = greedy_capture(inst)
+        report = uprf_check(inst, W, Caps(short))
+        assert (report.value, report.status) == ("pass", CAP_EXHAUSTED)
+        report = uprf_check(inst, W, Caps(short + 1))
+        assert (report.value, report.status) == ("violation", "exact")
+        assert (report.witness.threshold_y, report.witness.covered_winners) == (y, winners)
+
+
+def _plain_clique_at_least(adj, ell, m, umask, budget, *_):
+    """The uprf search without subtree replay, kept as it was."""
+    left = budget[0]
+
+    def rec(chosen, size, avail, count):
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise audit_rank._BudgetExceeded
+        if size >= m:
+            return chosen
+        while avail:
+            if size + count < m:
+                return None
+            low = avail & -avail
+            avail ^= low
+            count -= 1
+            nbrs = avail & adj[low.bit_length() - 1]
+            grow = nbrs.bit_count()
+            if size + 1 + grow >= m:
+                found = rec(chosen | low, size + 1, nbrs, grow)
+                if found is not None:
+                    return found
+        return None
+
+    try:
+        group = rec(0, 0, umask, umask.bit_count())
+    finally:
+        budget[0] = left
+    return None if group is None else (group, ())
+
+
+def test_uprf_matches_the_plain_clique_search():
+    # same reports as the plain search at no budget, one node, half the
+    # nodes the plain search charges, one node short of them, and all
+    cell = []
+
+    def plain(adj, ell, m, umask, budget, *_):
+        cell[:] = [budget]
+        return _plain_clique_at_least(adj, ell, m, umask, budget)
+
+    def plain_uprf(inst, W, budget):
+        sweep = audit_rank._proximity(inst)
+        return audit_rank._threshold_scan(inst, W, Caps(budget), "uprf", plain, sweep, inst.k)
+
+    for family, cases in (
+        ("euclidean", ((12, 1), (36, 1), (52, 3))),
+        ("graph", ((12, 1), (44, 2), (52, 3))),
+    ):
+        for n, seed in cases:
+            inst = parse_instance(generate_family(family, n, 5, seed))
+            rng = random.Random(seed)
+            drawn = Outcome(frozenset(rng.sample(range(inst.num_candidates), 2)))
+            for W in (greedy_capture(inst)[0], drawn):
+                cell.clear()
+                plain_uprf(inst, W, 10**6)
+                used = 10**6 - cell[0][0] if cell else 0
+                for budget in sorted({0, 1, used // 2, max(used - 1, 0), used}):
+                    expected = plain_uprf(inst, W, budget).to_json_str()
+                    assert uprf_check(inst, W, Caps(budget)).to_json_str() == expected
