@@ -20,7 +20,7 @@ from .audit_rank import (
 )
 from .audit_single import if_min_beta, pf_min_alpha, tc_min_alpha
 from .instance import Instance, Outcome, quota, validate
-from .metric import TAU, MetricSpace
+from .metric import MetricSpace
 from .reports import AuditReport, RankViolation, Witness
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "MetricSpace",
     "Outcome",
     "RankViolation",
-    "TAU",
     "Trace",
     "TraceEvent",
     "Witness",

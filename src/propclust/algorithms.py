@@ -19,14 +19,15 @@ give bit-identical outcomes and traces.
   uniformly at random, and the committee is topped up with uniformly random
   unselected agents at the end.
 
-Expanding approvals reads its balls from the threshold sweep in
-``instance``; greedy capture and fair greedy capture rank exact deltas and
-capture what lies within ``MetricSpace.limit`` of the delta they act at.
+All three walk the threshold sweep in ``instance`` (d is within delta when
+``d <= delta``).  A ball's count of uncaptured agents only falls between
+thresholds, so the capture rules re-check only the balls that grew.  Events
+take delta from the distance table, so a matrix mixing ``0`` and ``0.0``
+traces the value stored.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -74,59 +75,60 @@ class Trace:
 
 
 def greedy_capture(instance):
-    """Quota-ball sweep; returns (Outcome, Trace)."""
+    """Quota-ball sweep; returns (Outcome, Trace).
+
+    At each threshold, while fewer than k centers are open, the
+    lowest-index closed candidate with a quota of uncaptured agents in its
+    ball opens and captures every uncaptured agent there.  Then each
+    uncaptured agent in the ball of an open center, in index order, is
+    absorbed by the lowest-index such center.
+    """
     if instance.num_candidates == 0:
         raise ValueError("empty candidate set")
     n, k = instance.n, instance.k
     m = quota(n, k, 1, 1)
     table = instance.dist_rows
-    remaining = list(range(n))
+    levels, width, pairs = _approvals(instance)
+    remaining = (1 << n) - 1
     opened = []
-    opened_set = set()
     events = []
-    while remaining:
-        best = None
-        if len(opened) < k and len(remaining) >= m:
-            for j in range(instance.num_candidates):
-                if j in opened_set:
-                    continue
-                delta = heapq.nsmallest(m, (table[i][j] for i in remaining))[-1]
-                key = (delta, 0, j, -1)
-                if best is None or key < best:
-                    best = key
-        for w in opened:
-            delta, agent = min((table[i][w], i) for i in remaining)
-            key = (delta, 1, agent, w)
-            if best is None or key < best:
-                best = key
-        delta, kind, idx, center = best
-        if kind == 0:
-            limit = instance.space.limit(delta)
-            captured = tuple(i for i in remaining if table[i][idx] <= limit)
-            remaining = [i for i in remaining if i not in set(captured)]
-            opened.append(idx)
-            opened_set.add(idx)
+    for balls, _, grew in _growing_masks(width, pairs, levels):
+        for j in _bits(grew):
+            if len(opened) == k or remaining.bit_count() < m:
+                break
+            ball = balls[j] & remaining
+            if j in opened or ball.bit_count() < m:
+                continue
+            remaining ^= ball
+            opened.append(j)
+            captured = tuple(_bits(ball))
             events.append(
                 TraceEvent(
-                    delta=delta,
+                    delta=sorted(table[i][j] for i in captured)[m - 1],
                     kind="open",
-                    candidate=idx,
+                    candidate=j,
                     captured=captured,
-                    remaining=len(remaining),
+                    remaining=remaining.bit_count(),
                 )
             )
-        else:
-            remaining.remove(idx)
+        owner = {}
+        for w in sorted(opened):
+            for i in _bits(balls[w] & remaining):
+                owner.setdefault(i, w)
+        for i in sorted(owner):
+            remaining ^= 1 << i
             events.append(
                 TraceEvent(
-                    delta=delta,
+                    delta=table[i][owner[i]],
                     kind="absorb",
-                    agent=idx,
-                    center=center,
-                    captured=(idx,),
-                    remaining=len(remaining),
+                    agent=i,
+                    center=owner[i],
+                    captured=(i,),
+                    remaining=remaining.bit_count(),
                 )
             )
+        if not remaining:
+            break
     outcome = Outcome(frozenset(opened), origin="gc")
     return outcome, Trace(tuple(events))
 
@@ -154,8 +156,8 @@ def expanding_approvals(instance, deduct_order=None):
     closed = list(range(width))
     opened = []
     events = []
-    grown = _growing_masks(width, pairs, levels, instance.space.limit)
-    for delta, (balls, _) in zip(levels, grown):
+    grown = _growing_masks(width, pairs, levels)
+    for delta, (balls, _, _) in zip(levels, grown):
         if len(opened) == k:
             break
         while len(opened) < k:
@@ -213,38 +215,39 @@ def fair_greedy_capture(instance, q, seed):
     cand_at_point = {}
     for idx, c in enumerate(instance.candidates):
         cand_at_point.setdefault(c, idx)
-    remaining = set(range(n))
+    pairs = [(d, p, i) for p, row in enumerate(daa) for i, d in enumerate(row)]
+    remaining = (1 << n) - 1
     selected = []
     events = []
     last_delta = 0
-    while len(remaining) >= m:
-        best = None
-        for p in sorted(remaining):
-            delta = heapq.nsmallest(m, (daa[p][i] for i in remaining))[-1]
-            if best is None or (delta, p) < best:
-                best = (delta, p)
-        delta, p = best
-        limit = instance.space.limit(delta)
-        ball = sorted(i for i in remaining if daa[p][i] <= limit)
-        pick = sorted(rng.sample(ball, min(q, len(ball))))
-        pick_set = set(pick)
-        others = sorted(
-            (i for i in ball if i not in pick_set), key=lambda i: (daa[p][i], i)
-        )
-        deleted = tuple(sorted(pick_set | set(others[: m - len(pick)])))
-        remaining -= set(deleted)
-        for pos, s in enumerate(pick):
-            events.append(
-                TraceEvent(
-                    delta=delta,
-                    kind="open",
-                    candidate=cand_at_point[instance.agents[s]],
-                    captured=deleted if pos == 0 else (),
-                    remaining=len(remaining),
+    for balls, _, grew in _growing_masks(n, pairs, sorted({d for d, _, _ in pairs})):
+        for p in _bits(grew):
+            # p may survive its own capture, so it is checked again
+            while remaining >> p & 1 and (balls[p] & remaining).bit_count() >= m:
+                ball = _bits(balls[p] & remaining)
+                delta = sorted(daa[p][i] for i in ball)[m - 1]
+                pick = sorted(rng.sample(ball, min(q, len(ball))))
+                pick_set = set(pick)
+                others = sorted(
+                    (i for i in ball if i not in pick_set), key=lambda i: (daa[p][i], i)
                 )
-            )
-        selected.extend(pick)
-        last_delta = delta
+                deleted = tuple(sorted(pick_set | set(others[: m - len(pick)])))
+                for i in deleted:
+                    remaining ^= 1 << i
+                for pos, s in enumerate(pick):
+                    events.append(
+                        TraceEvent(
+                            delta=delta,
+                            kind="open",
+                            candidate=cand_at_point[instance.agents[s]],
+                            captured=deleted if pos == 0 else (),
+                            remaining=remaining.bit_count(),
+                        )
+                    )
+                selected.extend(pick)
+                last_delta = delta
+        if remaining.bit_count() < m:
+            break
     if len(selected) < k:
         pool = sorted(set(range(n)) - set(selected))
         extra = sorted(rng.sample(pool, min(k - len(selected), len(pool))))
@@ -254,7 +257,7 @@ def fair_greedy_capture(instance, q, seed):
                     delta=last_delta,
                     kind="open",
                     candidate=cand_at_point[instance.agents[s]],
-                    remaining=len(remaining),
+                    remaining=remaining.bit_count(),
                 )
             )
         selected.extend(extra)

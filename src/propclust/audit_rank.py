@@ -9,9 +9,8 @@ threshold list is equivalent to auditing all real y.
 All five axioms run through one incremental scan.  The (distance, row,
 bit) pairs are sorted once and OR-ed into the approval or adjacency masks
 and into the centers' balls as the threshold grows.  The sweep is
-``instance._growing_masks``, which expanding approvals reads too, and the
-within-y rule is the metric space's ``limit`` (exact on exact data, a
-small slack on floats).
+``instance._growing_masks``, which the clustering rules read too: an agent
+approves a candidate at threshold y when their distance d has ``d <= y``.
 
 At each threshold the scan walks every cover set: for ell and a set Y of
 ell - 1 centers, the agents approving no center outside Y, who together
@@ -123,17 +122,12 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
         for ysub in combinations(range(len(centers)), min(ell - 1, len(centers))):
             outside = tuple(p for p in range(len(centers)) if p not in ysub)
             live.append([ell, m, outside, everyone, None, {}])
-    rows = instance.dist_rows
-    wpairs = [(row[c], p, i) for i, row in enumerate(rows) for p, c in enumerate(centers)]
-    limit = instance.space.limit
-    grown = zip(
-        ys,
-        _growing_masks(width, pairs, ys, limit),
-        _growing_masks(len(centers), wpairs, ys, limit),
-    )
+    # only the centers' columns: uprf never needs the full agent-candidate table
+    wpairs = [(instance.d_ac(i, c), p, i) for i in range(n) for p, c in enumerate(centers)]
+    grown = zip(ys, _growing_masks(width, pairs, ys), _growing_masks(len(centers), wpairs, ys))
     budget = [caps.node_budget]
     try:
-        for y, (masks, entered), (balls, covered) in grown:
+        for y, (masks, entered, _), (balls, covered, _) in grown:
             if covered:
                 kept = []
                 for cover in live:

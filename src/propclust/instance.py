@@ -5,9 +5,9 @@ ids into one metric space, agents possibly repeated) together with a target
 number of centers ``k``.  An outcome is a set of *candidate indices*, which
 keeps co-located candidates distinguishable.
 
-The threshold sweep that rules and auditors share lives here too:
-``_growing_masks`` applies the metric space's within-y rule
-(``MetricSpace.limit``) that its callers pass in.
+The threshold sweep that every rule and auditor reads lives here too:
+``_growing_masks`` counts a distance d as within a threshold y when
+``d <= y``.
 """
 
 from __future__ import annotations
@@ -124,15 +124,14 @@ class Instance:
         return set(self.agents) == set(self.candidates)
 
 
-def _growing_masks(size, pairs, ys, limit):
-    """Yield ``(masks, entered)`` at each threshold y of the ascending
+def _growing_masks(size, pairs, ys):
+    """Yield ``(masks, entered, grew)`` at each threshold y of the ascending
     ``ys``: the ``size`` bitmasks, mask ``row`` holding ``bit`` for every
-    pair ``(d, row, bit)`` within y, and ``entered``, the OR of
-    ``1 << bit`` over the pairs that came within y at this threshold.
+    pair ``(d, row, bit)`` with ``d <= y``; ``entered``, the OR of
+    ``1 << bit`` over the pairs that came within y at this threshold; and
+    ``grew``, the OR of ``1 << row`` over the rows those pairs went to.
 
-    Every rule and auditor that sweeps thresholds reads its masks here; a
-    distance d is within y when ``d <= limit(y)``, where ``limit`` is the
-    instance space's :meth:`~propclust.metric.MetricSpace.limit`.  The
+    Every rule and auditor that sweeps thresholds reads its masks here.  The
     pairs are sorted once and OR-ed in as y grows.  One list is updated in
     place and yielded at every threshold, so a caller must copy out what it
     keeps past the next one.
@@ -141,15 +140,15 @@ def _growing_masks(size, pairs, ys, limit):
     masks = [0] * size
     pos = 0
     for y in ys:
-        bound = limit(y)
-        entered = 0
-        while pos < len(pairs) and pairs[pos][0] <= bound:
+        entered = grew = 0
+        while pos < len(pairs) and pairs[pos][0] <= y:
             _, row, bit = pairs[pos]
             b = 1 << bit
             masks[row] |= b
             entered |= b
+            grew |= 1 << row
             pos += 1
-        yield masks, entered
+        yield masks, entered, grew
 
 
 def _approvals(instance):

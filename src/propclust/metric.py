@@ -3,22 +3,23 @@
 Distances are plain numbers: ``int`` / ``Fraction`` for graph metrics and
 exact matrices, ``float`` for coordinate spaces.  Exact inputs stay exact all
 the way through shortest paths and queries, so audits on integer-weighted
-instances never see rounding.  Each space owns the within-y rule that every
-rule and auditor reads, :meth:`MetricSpace.limit`: an exact space (every
-distance an int or ``Fraction``) compares exactly, and a space holding any
-float distance allows a slack of ``TAU`` so it behaves like its exact
-counterpart near ties.
+instances never see rounding.  Every rule and auditor counts d as within
+radius y when ``d <= y``, on every kind of space: a float is an exact binary
+rational and all of them read the same stored distances, so comparing them
+as given is self-consistent.  The one float tolerance left is in
+:meth:`MetricSpace.from_matrix`'s triangle check.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from fractions import Fraction
 from numbers import Real
 from operator import index, sub
 
-# Slack for radius comparisons in spaces with float distances.
+# Read only by the benchmark's violation re-check (perfbench/checks.py).
 TAU = 1e-9
 
 _NORMS = ("l1", "l2", "linf")
@@ -78,11 +79,12 @@ class MetricSpace:
     construction; instances are safe for concurrent reads.
     """
 
-    __slots__ = ("_d", "_slack", "kind", "coords", "norm")
+    __slots__ = ("_d", "exact", "kind", "coords", "norm")
 
     def __init__(self, d, kind, coords=None, norm=None):
         self._d = d
-        self._slack = TAU if any(isinstance(x, float) for row in d for x in row) else 0
+        # True when every distance is an int or ``Fraction``
+        self.exact = not any(isinstance(x, float) for row in d for x in row)
         self.kind = kind
         self.coords = coords
         self.norm = norm
@@ -95,7 +97,11 @@ class MetricSpace:
 
     @classmethod
     def from_matrix(cls, rows):
-        """Build from a full symmetric distance matrix (O(n^3) validation)."""
+        """Build from a full symmetric distance matrix (O(n^3) validation).
+
+        The triangle inequality is checked exactly, except that a matrix
+        holding a float may miss it by ``4 * sys.float_info.epsilon`` times
+        the compared rows' largest distance, the rounding of float input."""
         n = len(rows)
         d = [list(r) for r in rows]
         if any(len(r) != n for r in d):
@@ -109,15 +115,16 @@ class MetricSpace:
                 if d[i][j] != d[j][i]:
                     raise ValueError("matrix is not symmetric")
         space = cls(d, "matrix")
-        limit = space.limit
-        # exhaustive triangle check; the inner max over k runs in C, and
-        # limit(y) >= y, so limit is consulted only past y itself
+        room = 0 if space.exact else 4 * sys.float_info.epsilon
+        rowmax = [max(r) for r in d]
+        # exhaustive triangle check; the inner max over k runs in C, and the
+        # allowance is consulted only past d_ij itself
         for j in range(n):
             dj = d[j]
             for i in range(n):
                 di = d[i]
                 excess = max(map(sub, di, dj))
-                if excess > di[j] and excess > limit(di[j]):
+                if excess > di[j] and excess > di[j] + room * max(rowmax[i], rowmax[j]):
                     k = max(range(n), key=lambda x: di[x] - dj[x])
                     raise ValueError(f"triangle inequality fails at ({i},{j},{k})")
         return space
@@ -170,52 +177,9 @@ class MetricSpace:
 
     # -- queries -----------------------------------------------------------
 
-    def limit(self, y):
-        """The largest distance that counts as within radius ``y``: ``y``
-        itself in an exact space, ``y + TAU`` in a space with floats."""
-        return y + self._slack if self._slack else y
-
-    @property
-    def exact(self):
-        """True when every distance is an int or ``Fraction``."""
-        return not self._slack
-
     def dist(self, a, b):
         """Metric distance between two point ids."""
         return self._d[a][b]
-
-    def dist_q(self, a, targets, q):
-        """The q-th smallest distance from ``a`` to ``targets``.
-
-        ``targets`` is a sequence of point ids; repeats count with
-        multiplicity.  ``dist_q(a, T, 1)`` is the ordinary nearest distance.
-        """
-        targets = list(targets)
-        if q < 1 or q > len(targets):
-            raise ValueError("insufficient targets")
-        row = self._d[a]
-        return heapq.nsmallest(q, (row[t] for t in targets))[-1]
-
-    def ball(self, a, r, universe):
-        """Points of ``universe`` within distance ``r`` of ``a``."""
-        row = self._d[a]
-        limit = self.limit(r)
-        return {x for x in universe if row[x] <= limit}
-
-    def neighborhood_radius(self, a, agents, count):
-        """Smallest radius whose ball around ``a`` holds ``count`` agents.
-
-        ``agents`` is a sequence (repeats count with multiplicity) that must
-        contain ``a``; the result is the count-th smallest distance from
-        ``a``, with ``a`` itself contributing distance zero.
-        """
-        agents = list(agents)
-        if a not in agents:
-            raise ValueError("point is not one of the agents")
-        if count < 1 or count > len(agents):
-            raise ValueError("count exceeds number of agents")
-        row = self._d[a]
-        return heapq.nsmallest(count, (row[x] for x in agents))[-1]
 
 
 def _dijkstra(adj, source):

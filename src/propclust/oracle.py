@@ -214,10 +214,7 @@ def oracle_qtc(instance, outcome, q, gamma=1):
 
 
 def _within(d, y):
-    """Distance ``d`` is within radius ``y``: exactly when both are exact,
-    with a slack of 1e-9 when either is a float."""
-    if isinstance(d, float) or isinstance(y, float):
-        return d <= y + 1e-9
+    """Distance ``d`` is within radius ``y``, on exact and float data alike."""
     return d <= y
 
 

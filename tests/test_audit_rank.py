@@ -179,7 +179,6 @@ def test_threshold_completeness_refined_grid():
         fine.append(vals[-1])
         n, k = inst.n, inst.k
         from propclust.instance import quota
-        from propclust.metric import TAU
 
         m = quota(n, k, 1, 1)
         centers = W.sorted_centers()
@@ -189,8 +188,8 @@ def test_threshold_completeness_refined_grid():
                 group = [
                     i
                     for i in range(n)
-                    if inst.d_ac(i, j) <= y + TAU
-                    and min(inst.d_ac(i, c) for c in centers) > y + TAU
+                    if inst.d_ac(i, j) <= y
+                    and min(inst.d_ac(i, c) for c in centers) > y
                 ]
                 if len(group) >= m:
                     grid_violation = True

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propclust import MetricSpace
+from propclust import Instance, MetricSpace, Outcome
 from propclust import fixtures
+from propclust.audit_single import dists_to_centers
+from propclust.instance import _growing_masks
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +33,25 @@ def test_dist_shortest_path(fig2a):
     assert space.dist(L["8"], L["6"]) == 2
 
 
+def _d_q(space, a, targets, q):
+    """d_q(a, T), the q-th closest of the targets to point a, as the
+    auditors read it."""
+    inst = Instance(space, [a], "all", len(targets))
+    return dists_to_centers(inst, Outcome(targets), q)[0]
+
+
+def _ball(space, a, r):
+    """The points within r of a, read from the shared threshold sweep."""
+    pairs = [(space.dist(a, x), 0, x) for x in range(space.num_points)]
+    (masks, _, _), = _growing_masks(1, pairs, [r])
+    return {x for x in range(space.num_points) if masks[0] >> x & 1}
+
+
 def test_dist_q_examples(fig2a):
     space, L = fig2a
     targets = [L["6"], L["9"], L["10"]]
-    assert space.dist_q(L["5"], targets, 3) == 3
-    assert space.dist_q(L["5"], targets, 1) == min(space.dist(L["5"], t) for t in targets)
+    assert _d_q(space, L["5"], targets, 3) == 3
+    assert _d_q(space, L["5"], targets, 1) == min(space.dist(L["5"], t) for t in targets)
 
 
 def test_dist_q_third_center_distance(fig2a):
@@ -44,56 +60,29 @@ def test_dist_q_third_center_distance(fig2a):
     W = [L[x] for x in ("1", "2", "3", "6", "9")]
     enumerated = sorted(space.dist(L["10"], w) for w in W)
     assert enumerated == [1, 2, 13, 13, 13]
-    assert space.dist_q(L["10"], W, 3) == enumerated[2] == 13
+    assert _d_q(space, L["10"], W, 3) == enumerated[2] == 13
 
 
 def test_dist_q_insufficient_targets(fig2a):
+    # an outcome with fewer than q centers leaves d_q unbounded
     space, L = fig2a
-    with pytest.raises(ValueError, match="insufficient"):
-        space.dist_q(L["5"], [L["6"]], 2)
+    assert _d_q(space, L["5"], [L["6"]], 2) == math.inf
 
 
 def test_ball_intersection_fig2b():
     inst, L = fixtures.fig2b(5)
     space = inst.space
-    everyone = set(range(space.num_points))
-    balls = [space.ball(L[str(i)], 4, everyone) for i in range(5, 11)]
+    balls = [_ball(space, L[str(i)], 4) for i in range(5, 11)]
     common = set.intersection(*balls)
     assert common == {L["6"], L["7"], L["9"]}
-    assert space.ball(L["5"], 4, everyone) == {L[x] for x in ("5", "6", "7", "9")}
+    assert _ball(space, L["5"], 4) == {L[x] for x in ("5", "6", "7", "9")}
 
 
 def test_ball_zero_radius(fig2a):
+    # the radius-0 ball holds the point and the points co-located with it
     space, L = fig2a
-    assert space.ball(L["7"], 0, {L["7"]}) == {L["7"]}
-
-
-def test_neighborhood_radius_examples(fig2a):
-    space, L = fig2a
-    agents = list(range(space.num_points))
-    assert space.neighborhood_radius(L["8"], agents, 3) == 1
-    assert space.neighborhood_radius(L["8"], agents, 1) == 0
-
-
-def test_neighborhood_radius_fig4a():
-    inst, L = fixtures.fig4a(2)
-    agents = list(inst.agents)
-    assert inst.space.neighborhood_radius(L["5"], agents, 3) == 1
-
-
-def test_neighborhood_radius_errors(fig2a):
-    space, L = fig2a
-    with pytest.raises(ValueError):
-        space.neighborhood_radius(L["8"], list(range(10)), 11)
-    with pytest.raises(ValueError):
-        space.neighborhood_radius(L["8"], [L["5"]], 1)
-
-
-def test_neighborhood_radius_multiset():
-    space = MetricSpace.from_graph(3, [(0, 1, 2), (1, 2, 2)])
-    # duplicated agent at point 1 counts twice
-    assert space.neighborhood_radius(1, [0, 1, 1, 2], 2) == 0
-    assert space.neighborhood_radius(1, [0, 1, 1, 2], 3) == 2
+    assert _ball(space, L["7"], 0) == {L["7"]}
+    assert _ball(space, L["1"], 0) == {L[x] for x in ("1", "2", "3", "4")}
 
 
 def test_graph_rejects_disconnected():
@@ -118,9 +107,24 @@ def test_matrix_validation():
     with pytest.raises(ValueError, match="diagonal"):
         MetricSpace.from_matrix([[1]])
     far = 2 + Fraction(1, 10**10)  # breaks the triangle by 10^-10, exactly
-    for rows in ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], [[0, 1, far], [1, 0, 1], [far, 1, 0]]):
+    float_far = 2.0 + 1e-10  # the same break in floats, at scale 1
+    for rows in (
+        [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+        [[0, 1, far], [1, 0, 1], [far, 1, 0]],
+        [[0, 1.0, float_far], [1.0, 0, 1.0], [float_far, 1.0, 0]],
+    ):
         with pytest.raises(ValueError, match="triangle"):
             MetricSpace.from_matrix(rows)
+    # decimal-to-float rounding breaks this matrix's triangle inequality by
+    # about 1e-16 at (3, 0, 2): a few ulps of its scale, so it is accepted
+    MetricSpace.from_matrix(
+        [
+            [0, 0.0, 1.0, 1e-12],
+            [0.0, 0, 1.0, 1e-12],
+            [1.0, 1.0, 0, 1.000000000001],
+            [1e-12, 1e-12, 1.000000000001, 0],
+        ]
+    )
 
 
 def test_points_norms():
@@ -171,14 +175,15 @@ def test_triangle_inequality_exact(seed, n):
 @given(st.integers(0, 10_000), st.integers(3, 8), st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_q_triangle_inequality(seed, n, q):
+    # d_q(i, T) <= d(i, i') + d_q(i', T)
     rng = random.Random(seed)
     space = _random_graph_space(rng, n)
     targets = rng.sample(range(n), rng.randint(q, n))
+    inst = Instance(space, range(n), "all", len(targets))
+    dq = dists_to_centers(inst, Outcome(targets), q)
     for i in range(n):
         for i2 in range(n):
-            lhs = space.dist_q(i, targets, q)
-            rhs = space.dist(i, i2) + space.dist_q(i2, targets, q)
-            assert lhs <= rhs
+            assert dq[i] <= space.dist(i, i2) + dq[i2]
 
 
 @given(st.integers(0, 10_000), st.integers(3, 8))
@@ -186,24 +191,11 @@ def test_q_triangle_inequality(seed, n, q):
 def test_dist_q_monotone_in_q(seed, n):
     rng = random.Random(seed)
     space = _random_graph_space(rng, n)
-    targets = list(range(n))
+    inst = Instance(space, range(n), "all", n)
+    everyone = Outcome(range(n))
     for a in range(n):
-        vals = [space.dist_q(a, targets, q) for q in range(1, n + 1)]
+        vals = [dists_to_centers(inst, everyone, q)[a] for q in range(1, n + 1)]
         assert vals == sorted(vals)
-
-
-@given(st.integers(0, 10_000), st.integers(3, 8))
-@settings(max_examples=40, deadline=None)
-def test_neighborhood_radius_ball_duality(seed, n):
-    rng = random.Random(seed)
-    space = _random_graph_space(rng, n)
-    agents = list(range(n))
-    for a in range(n):
-        for count in range(1, n + 1):
-            r = space.neighborhood_radius(a, agents, count)
-            assert len(space.ball(a, r, agents)) >= count
-            smaller = [d for d in (space.dist(a, x) for x in agents) if d < r]
-            assert len(smaller) < count
 
 
 @given(st.integers(0, 10_000), st.integers(3, 10))

@@ -1,0 +1,154 @@
+"""Greedy capture and fair greedy capture against literal quadratic copies.
+
+The rules walk the shared threshold sweep and re-check only the balls that
+grew at each threshold.  The copies below are the rules as written before
+that: at every step they rank the quota-th distance of every candidate (or
+agent) over all uncaptured agents, and capture what lies within it
+(``d <= delta``).  Centers and serialized traces must agree, on random
+instances and on small matrices mixing int and float distances, where a
+traced delta of ``0`` against ``0.0`` shows in the JSON.
+"""
+
+import heapq
+import json
+import random
+
+from propclust import Instance, MetricSpace, fair_greedy_capture, greedy_capture
+from propclust.algorithms import Trace, TraceEvent
+from propclust.generate import random_instance
+from propclust.instance import Outcome, quota
+
+
+def plain_greedy_capture(instance):
+    n, k = instance.n, instance.k
+    m = quota(n, k, 1, 1)
+    table = instance.dist_rows
+    remaining = list(range(n))
+    opened = []
+    opened_set = set()
+    events = []
+    while remaining:
+        best = None
+        if len(opened) < k and len(remaining) >= m:
+            for j in range(instance.num_candidates):
+                if j in opened_set:
+                    continue
+                delta = heapq.nsmallest(m, (table[i][j] for i in remaining))[-1]
+                key = (delta, 0, j, -1)
+                if best is None or key < best:
+                    best = key
+        for w in opened:
+            delta, agent = min((table[i][w], i) for i in remaining)
+            key = (delta, 1, agent, w)
+            if best is None or key < best:
+                best = key
+        delta, kind, idx, center = best
+        if kind == 0:
+            captured = tuple(i for i in remaining if table[i][idx] <= delta)
+            remaining = [i for i in remaining if i not in set(captured)]
+            opened.append(idx)
+            opened_set.add(idx)
+            events.append(
+                TraceEvent(
+                    delta=delta, kind="open", candidate=idx, captured=captured,
+                    remaining=len(remaining),
+                )
+            )
+        else:
+            remaining.remove(idx)
+            events.append(
+                TraceEvent(
+                    delta=delta, kind="absorb", agent=idx, center=center, captured=(idx,),
+                    remaining=len(remaining),
+                )
+            )
+    return Outcome(frozenset(opened), origin="gc"), Trace(tuple(events))
+
+
+def plain_fair_greedy_capture(instance, q, seed):
+    n, k = instance.n, instance.k
+    m = quota(n, k, q, 1)
+    rng = random.Random(seed)
+    daa = instance.agent_rows
+    cand_at_point = {}
+    for idx, c in enumerate(instance.candidates):
+        cand_at_point.setdefault(c, idx)
+    remaining = set(range(n))
+    selected = []
+    events = []
+    last_delta = 0
+    while len(remaining) >= m:
+        best = None
+        for p in sorted(remaining):
+            delta = heapq.nsmallest(m, (daa[p][i] for i in remaining))[-1]
+            if best is None or (delta, p) < best:
+                best = (delta, p)
+        delta, p = best
+        ball = sorted(i for i in remaining if daa[p][i] <= delta)
+        pick = sorted(rng.sample(ball, min(q, len(ball))))
+        pick_set = set(pick)
+        others = sorted((i for i in ball if i not in pick_set), key=lambda i: (daa[p][i], i))
+        deleted = tuple(sorted(pick_set | set(others[: m - len(pick)])))
+        remaining -= set(deleted)
+        for pos, s in enumerate(pick):
+            events.append(
+                TraceEvent(
+                    delta=delta, kind="open", candidate=cand_at_point[instance.agents[s]],
+                    captured=deleted if pos == 0 else (), remaining=len(remaining),
+                )
+            )
+        selected.extend(pick)
+        last_delta = delta
+    if len(selected) < k:
+        pool = sorted(set(range(n)) - set(selected))
+        extra = sorted(rng.sample(pool, min(k - len(selected), len(pool))))
+        for s in extra:
+            events.append(
+                TraceEvent(
+                    delta=last_delta, kind="open",
+                    candidate=cand_at_point[instance.agents[s]], remaining=len(remaining),
+                )
+            )
+        selected.extend(extra)
+    centers = frozenset(cand_at_point[instance.agents[s]] for s in selected)
+    return Outcome(centers, origin=f"fgc(q={q},seed={seed})"), Trace(tuple(events))
+
+
+def _same(got, want):
+    (out, trace), (plain_out, plain_trace) = got, want
+    assert out == plain_out
+    assert json.dumps(trace.to_json()) == json.dumps(plain_trace.to_json())
+
+
+def _check(inst, seeds):
+    _same(greedy_capture(inst), plain_greedy_capture(inst))
+    if inst.agents_equal_candidates():
+        for q in range(1, inst.k + 1):
+            for seed in seeds:
+                _same(fair_greedy_capture(inst, q, seed), plain_fair_greedy_capture(inst, q, seed))
+
+
+def _mixed_instance(rng):
+    """Off-diagonal distances in {1, 2} (always a metric), about half the
+    entries cast to float, agents possibly repeated over every point."""
+    npts = rng.randint(2, 7)
+    rows = [[0] * npts for _ in range(npts)]
+    for a in range(npts):
+        for b in range(a, npts):
+            d = 0 if a == b else rng.randint(1, 2)
+            rows[a][b] = rows[b][a] = float(d) if rng.random() < 0.5 else d
+    agents = list(range(npts)) + [rng.randrange(npts) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(agents)
+    return Instance(MetricSpace.from_matrix(rows), agents, "all", rng.randint(1, npts))
+
+
+def test_rules_match_the_plain_sweep_on_random_instances():
+    rng = random.Random(20261018)
+    for _ in range(700):
+        _check(random_instance(rng, 9, 12, 4), seeds=(0, 1, 2))
+
+
+def test_rules_match_the_plain_sweep_on_mixed_int_float_matrices():
+    rng = random.Random(7)
+    for _ in range(500):
+        _check(_mixed_instance(rng), seeds=(0, 1, 2, 3))

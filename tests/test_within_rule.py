@@ -1,10 +1,10 @@
-"""The within-y rule: one owner, and the oracle agrees with it on ties.
+"""The within-y rule: ``d <= y`` everywhere, and the oracle agrees on ties.
 
-A distance d is within a radius y when ``d <= space.limit(y)``.  Exact
-spaces compare exactly and float spaces allow the slack ``TAU``; only
-``metric.py`` may know that constant.  The differential tests below run the
-fast auditors and the brute-force oracle, which writes out its own
-comparison, on instances built to sit on or next to a threshold:
+A distance d is within a radius y when ``d <= y``, on exact, float and mixed
+spaces alike; no module but ``metric.py`` names a rounding allowance.  The
+differential tests below run the fast auditors and the brute-force oracle,
+which writes out its own comparison, on instances built to sit on or next
+to a threshold:
 co-location through zero-weight edges, exact distances offset by 10^-12,
 and the same offsets on floats.  ``hypothesis.target`` steers the search
 toward outcomes whose audited factor comes close to the paper's bound.
@@ -15,7 +15,6 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st, target
 
 from propclust import (
@@ -35,10 +34,10 @@ from propclust import (
     uprf_check,
 )
 from propclust import oracle as orc
-from propclust.metric import TAU
+from propclust.instance import _growing_masks
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "propclust"
-OWNERS = ("metric.py", "__init__.py")
+OWNERS = ("metric.py",)
 
 
 def _tau_lines(path):
@@ -66,18 +65,30 @@ def test_only_metric_names_tau():
     assert {name: lines for name, lines in copies.items() if lines} == {}
 
 
-def test_limit_is_exact_on_exact_spaces():
+def _within(space, a, b, y):
+    """Whether point b lies within y of point a in the shared sweep."""
+    (masks, _, _), = _growing_masks(1, [(space.dist(a, b), 0, 0)], [y])
+    return masks[0] == 1
+
+
+def test_within_is_d_le_y_on_every_space():
+    third = Fraction(1, 3)
     graph = MetricSpace.from_graph(2, [(0, 1, [1, 3])])
-    assert graph.limit(Fraction(1, 3)) == Fraction(1, 3)
-    assert graph.ball(0, Fraction(1, 3) - Fraction(1, 10**12), [0, 1]) == {0}
-    exact = MetricSpace.from_matrix([[0, 1], [1, 0]])
-    assert exact.limit(1) == 1
-    floats = MetricSpace.from_points([[0.0], [1.0]])
-    assert floats.limit(1.0) == 1.0 + TAU
-    # one float distance is enough to make the whole space a float space
-    mixed = MetricSpace.from_matrix([[0, 1.5], [1.5, 0]])
-    assert mixed.limit(1) == 1 + TAU
-    assert mixed.ball(0, 1.5 - TAU / 2, [0, 1]) == {0, 1}
+    assert graph.exact
+    assert _within(graph, 0, 1, third)
+    assert not _within(graph, 0, 1, third - Fraction(1, 10**12))
+    floats = MetricSpace.from_points([[0.0], [1.0 + 1e-12]])
+    assert not floats.exact
+    assert _within(floats, 0, 1, 1.0 + 1e-12)
+    assert not _within(floats, 0, 1, 1.0)
+    # one float distance makes the space inexact; its int distances and
+    # its float ones are still compared as given
+    mixed = MetricSpace.from_matrix([[0, 1, 1.5], [1, 0, 1.0 + 1e-12], [1.5, 1.0 + 1e-12, 0]])
+    assert not mixed.exact
+    assert _within(mixed, 0, 1, 1) and _within(mixed, 0, 1, 1.0)
+    assert not _within(mixed, 1, 2, 1) and not _within(mixed, 0, 2, 1.5 - 1e-12)
+    assert orc._within(1.0 + 1e-12, 1.0) is False
+    assert orc._within(Fraction(1, 3), third) is True
 
 
 @st.composite
@@ -140,7 +151,7 @@ BOUNDS = (
 
 def _check_against_oracle(inst, outcome, exact=True):
     """Fast verdicts and factors equal the oracle's; on exact data the
-    factor bounds hold too (see the xfail below for floats)."""
+    factor bounds hold too (float factors are rounded quotients)."""
     verdicts = {}
     for notion, check in RANK_CHECKS.items():
         fast = check(inst, outcome).value
@@ -195,14 +206,13 @@ def test_fraction_near_tie_keeps_pf_bound_after_rank_jr():
     assert pf_min_alpha(inst, W).value == 1
 
 
-@pytest.mark.xfail(strict=True, reason="float spaces treat d <= TAU as a tie with 0")
 def test_float_near_tie_keeps_pf_bound_after_rank_jr():
-    # The same instance on floats: at delta = 0 candidate 0, 1e-12 away
-    # from the agent at point 1, already counts as within, so expanding
-    # approvals opens it instead of that agent's own point.  rank-JR
-    # passes, yet the PF factor 1e-12 / 0 of that agent is unbounded.
+    # The same instance on floats: candidate 0 lies 1e-12 from the agent at
+    # point 1, which is not within delta = 0, so expanding approvals opens
+    # that agent's own point, and the PF bound holds after rank-JR.
     space = MetricSpace.from_matrix([[0.0, 1e-12, 1.0], [1e-12, 0.0, 1.0], [1.0, 1.0, 0.0]])
     inst = Instance(space, (1, 2), "all", 2)
     W, _ = expanding_approvals(inst)
+    assert W.centers == {1, 2}
     assert rank_jr_check(inst, W).passed
     assert pf_min_alpha(inst, W).value <= 1 + math.sqrt(2)
