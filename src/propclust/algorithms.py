@@ -19,11 +19,12 @@ give bit-identical outcomes and traces.
   uniformly at random, and the committee is topped up with uniformly random
   unselected agents at the end.
 
-All three walk the threshold sweep in ``instance`` (d is within delta when
-``d <= delta``).  A ball's count of uncaptured agents only falls between
-thresholds, so the capture rules re-check only the balls that grew.  Events
-take delta from the distance table, so a matrix mixing ``0`` and ``0.0``
-traces the value stored.
+All three walk a threshold sweep in ``instance`` (d is within delta when
+``d <= delta``).  A ball's count of uncaptured agents, or sum of budgets,
+only falls while the ball does not grow, so the rules re-check only grown
+balls, in one ascending pass: a ball that fails stays failed at that
+threshold.  Capture events take delta from the distance table, so a matrix
+mixing ``0`` and ``0.0`` traces the value stored.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .instance import Instance, Outcome, _approvals, _bits, _growing_masks, quota
+from .instance import Instance, Outcome, _approvals, _bits, _growing_masks, _proximity, quota
 from .reports import encode_value
 
 
@@ -142,7 +143,8 @@ def expanding_approvals(instance, deduct_order=None):
     """Budgeted sweep; returns (Outcome, Trace).
 
     ``deduct_order`` maps (ball agents, distance row) to the order in which
-    budgets are zeroed when a candidate opens.
+    budgets are zeroed when a candidate opens; an order that leaves part of
+    the unit unpaid raises ValueError naming the candidate.
     """
     if instance.num_candidates == 0:
         raise ValueError("empty candidate set")
@@ -153,26 +155,21 @@ def expanding_approvals(instance, deduct_order=None):
     levels, width, pairs = _approvals(instance)
     budgets = [k] * n  # in units of 1/n: an opening costs n
     funded = n  # agents with a positive budget
-    closed = list(range(width))
     opened = []
     events = []
-    grown = _growing_masks(width, pairs, levels)
-    for delta, (balls, _, _) in zip(levels, grown):
+    for delta, (balls, _, grew) in zip(levels, _growing_masks(width, pairs, levels)):
         if len(opened) == k:
             break
-        while len(opened) < k:
-            for j in closed:
-                ball = _bits(balls[j])
-                if sum(budgets[i] for i in ball) >= n:
-                    break
-            else:
+        for j in _bits(grew):
+            if len(opened) == k:
                 break
-            closed.remove(j)
+            ball = _bits(balls[j])
+            if j in opened or sum(budgets[i] for i in ball) < n:
+                continue
             opened.append(j)
             events.append(TraceEvent(delta=delta, kind="open", candidate=j, remaining=funded))
-            dists = {i: table[i][j] for i in ball}
             need = n
-            for i in deduct_order(ball, dists):
+            for i in deduct_order(ball, {i: table[i][j] for i in ball}):
                 if need == 0:
                     break
                 take = min(budgets[i], need)
@@ -191,7 +188,8 @@ def expanding_approvals(instance, deduct_order=None):
                             remaining=funded,
                         )
                     )
-            assert need == 0, "ball budget checked before opening"
+            if need:
+                raise ValueError(f"deduct_order left {Fraction(need, n)} unpaid at candidate {j}")
     outcome = Outcome(frozenset(opened), origin="ea")
     return outcome, Trace(tuple(events))
 
@@ -215,12 +213,12 @@ def fair_greedy_capture(instance, q, seed):
     cand_at_point = {}
     for idx, c in enumerate(instance.candidates):
         cand_at_point.setdefault(c, idx)
-    pairs = [(d, p, i) for p, row in enumerate(daa) for i, d in enumerate(row)]
+    ys, width, pairs = _proximity(instance)
     remaining = (1 << n) - 1
     selected = []
     events = []
     last_delta = 0
-    for balls, _, grew in _growing_masks(n, pairs, sorted({d for d, _, _ in pairs})):
+    for balls, _, grew in _growing_masks(width, pairs, ys):
         for p in _bits(grew):
             # p may survive its own capture, so it is checked again
             while remaining >> p & 1 and (balls[p] & remaining).bit_count() >= m:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
-from .instance import _approvals, _bits, _growing_masks, quota
+from .instance import _approvals, _bits, _growing_masks, _proximity, quota
 from .reports import CAP_EXHAUSTED, EXACT, PASS, VIOLATION, AuditReport, RankViolation
 
 
@@ -67,15 +67,6 @@ def thresholds(instance):
     """Sorted distinct agent-candidate distances; the only y values at
     which any approval set can change."""
     return list(instance.levels)
-
-
-def _proximity(instance):
-    """Sweep over the agent-agent distances (and 0): per agent, a mask of
-    the other agents within the threshold."""
-    rows = instance.agent_rows
-    pairs = [(d, i, j) for i, row in enumerate(rows) for j, d in enumerate(row) if i != j]
-    # the int 0 comes first, so co-located float points cannot make it 0.0
-    return sorted({0} | {d for d, _, _ in pairs}), instance.n, pairs
 
 
 def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):

@@ -6,8 +6,8 @@ number of centers ``k``.  An outcome is a set of *candidate indices*, which
 keeps co-located candidates distinguishable.
 
 The threshold sweep that every rule and auditor reads lives here too:
-``_growing_masks`` counts a distance d as within a threshold y when
-``d <= y``.
+``_growing_masks`` over the pairs of ``_approvals`` or ``_proximity``,
+counting a distance d as within a threshold y when ``d <= y``.
 """
 
 from __future__ import annotations
@@ -156,6 +156,17 @@ def _approvals(instance):
     the agents approving it (the agents in its ball)."""
     pairs = [(d, j, i) for i, row in enumerate(instance.dist_rows) for j, d in enumerate(row)]
     return instance.levels, instance.num_candidates, pairs
+
+
+def _proximity(instance):
+    """Sweep over the agent-agent distances (and 0): per agent, a mask of
+    the agents within the threshold, itself included.  uprf is unaffected:
+    its clique search drops an agent from ``avail`` before reading its
+    adjacency, and self pairs enter at y = 0, where no search is replayed."""
+    rows = instance.agent_rows
+    pairs = [(d, i, j) for i, row in enumerate(rows) for j, d in enumerate(row)]
+    # the int 0 comes first, so co-located float points cannot make it 0.0
+    return sorted({0} | {d for d, _, _ in pairs}), instance.n, pairs
 
 
 def _bits(mask):

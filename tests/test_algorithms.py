@@ -125,6 +125,14 @@ def test_ea_remaining_counts_funded_agents():
                 assert e.remaining == sum(1 for b in budgets if b > 0), e
 
 
+def test_ea_rejects_an_order_that_leaves_the_unit_unpaid():
+    # a raised error, not an assert, so that it holds under python -O too
+    inst = random_instance(random.Random(3), 8, 8, 3)
+    for order in (lambda ball, dists: [], lambda ball, dists: ball[:1]):
+        with pytest.raises(ValueError, match="unpaid at candidate 4"):
+            expanding_approvals(inst, deduct_order=order)
+
+
 def test_fgc_support_contains_recorded_outcome():
     inst, L = fixtures.fig3a(4)
     target = frozenset(L[x] for x in ("1", "5", "9", "10"))

@@ -1,20 +1,34 @@
-"""Greedy capture and fair greedy capture against literal quadratic copies.
+"""The three sweep rules against literal copies of their older forms.
 
 The rules walk the shared threshold sweep and re-check only the balls that
 grew at each threshold.  The copies below are the rules as written before
-that: at every step they rank the quota-th distance of every candidate (or
-agent) over all uncaptured agents, and capture what lies within it
-(``d <= delta``).  Centers and serialized traces must agree, on random
-instances and on small matrices mixing int and float distances, where a
-traced delta of ``0`` against ``0.0`` shows in the JSON.
+that.  Greedy capture and fair greedy capture rank, at every step, the
+quota-th distance of every candidate (or agent) over all uncaptured agents,
+and capture what lies within it (``d <= delta``).  Expanding approvals
+rescans every closed candidate at every threshold, opens the lowest-index
+one whose ball holds a unit of budget, and restarts from the lowest index.
+Centers and serialized traces must agree, for expanding approvals under
+two deduction orders and in restricted mode too, on random instances and
+on small matrices mixing int and float distances, where a traced delta of
+``0`` against ``0.0`` shows in the JSON.
 """
 
 import heapq
 import json
 import random
+from fractions import Fraction
+from unittest.mock import patch
 
-from propclust import Instance, MetricSpace, fair_greedy_capture, greedy_capture
-from propclust.algorithms import Trace, TraceEvent
+from propclust import (
+    Instance,
+    MetricSpace,
+    algorithms,
+    expanding_approvals,
+    fair_greedy_capture,
+    greedy_capture,
+    restricted_solve,
+)
+from propclust.algorithms import Trace, TraceEvent, closest_first_order
 from propclust.generate import random_instance
 from propclust.instance import Outcome, quota
 
@@ -114,6 +128,50 @@ def plain_fair_greedy_capture(instance, q, seed):
     return Outcome(centers, origin=f"fgc(q={q},seed={seed})"), Trace(tuple(events))
 
 
+def plain_expanding_approvals(instance, deduct_order=None):
+    if deduct_order is None:
+        deduct_order = closest_first_order
+    n, k = instance.n, instance.k
+    table = instance.dist_rows
+    budgets = [k] * n
+    funded = n
+    closed = list(range(instance.num_candidates))
+    opened = []
+    events = []
+    for delta in instance.levels:
+        while len(opened) < k:
+            for j in closed:
+                ball = [i for i in range(n) if table[i][j] <= delta]
+                if sum(budgets[i] for i in ball) >= n:
+                    break
+            else:
+                break
+            closed.remove(j)
+            opened.append(j)
+            events.append(TraceEvent(delta=delta, kind="open", candidate=j, remaining=funded))
+            need = n
+            for i in deduct_order(ball, {i: table[i][j] for i in ball}):
+                if need == 0:
+                    break
+                take = min(budgets[i], need)
+                if take > 0:
+                    budgets[i] -= take
+                    need -= take
+                    if budgets[i] == 0:
+                        funded -= 1
+                    events.append(
+                        TraceEvent(
+                            delta=delta, kind="deduct", agent=i, center=j,
+                            amount=Fraction(take, n), remaining=funded,
+                        )
+                    )
+    return Outcome(frozenset(opened), origin="ea"), Trace(tuple(events))
+
+
+def farthest_first(ball, dists):
+    return sorted(ball, key=lambda i: (-dists[i], i))
+
+
 def _same(got, want):
     (out, trace), (plain_out, plain_trace) = got, want
     assert out == plain_out
@@ -122,6 +180,12 @@ def _same(got, want):
 
 def _check(inst, seeds):
     _same(greedy_capture(inst), plain_greedy_capture(inst))
+    for order in (None, farthest_first):
+        _same(expanding_approvals(inst, order), plain_expanding_approvals(inst, order))
+    if inst.agents_within_candidates():
+        with patch.object(algorithms, "expanding_approvals", plain_expanding_approvals):
+            plain = restricted_solve(inst, "ea")
+        _same(restricted_solve(inst, "ea"), plain)
     if inst.agents_equal_candidates():
         for q in range(1, inst.k + 1):
             for seed in seeds:
