@@ -26,16 +26,16 @@ cover set, and the scan builds the violation from what it finds:
 rank-pjr and dprf look for ell candidates that a quota of the cover set
 all approve, rank-pjr+ for one such unopened candidate, and uprf for a
 quota within the threshold of one another (an index-ordered
-branch-and-bound clique search).  rank-jr is the ell = 1 row of rank-pjr+
-over every candidate: the ell = 1 cover set is the agents approving no
-center, and a center's approvers are never among them.
+branch-and-bound clique search).  rank-jr is exactly the ell = 1 row of
+rank-pjr+: the ell = 1 cover set is the agents approving no center, and a
+center's approvers are never among them.
 
 Every search is exact: a violating group always induces a (target, cover
-set) pair, and any pair found certifies a violation.  The rank-jr search is
-polynomial and never charged, so its verdict is always exact; the others
-charge one node per ell-set, unopened candidate or clique node, replayed
-searches and subtrees included, and a "pass" returned after an exhausted
-node budget is flagged, never silent.
+set) pair, and any pair found certifies a violation.  The rank-jr and
+rank-pjr+ search reads at most |C| columns per cover set and is never
+charged, so their verdicts are always exact; the others charge one node
+per ell-set or clique node, replayed searches and subtrees included, and a
+"pass" returned after an exhausted node budget is flagged, never silent.
 """
 
 from __future__ import annotations
@@ -52,8 +52,11 @@ from .reports import CAP_EXHAUSTED, EXACT, PASS, VIOLATION, AuditReport, RankVio
 class Caps:
     """Budget on enumerated search nodes across one audit call.
 
-    The nodes charged are those of the plain, unreplayed search: a replayed
-    search or clique subtree charges the nodes it charged when it ran.
+    It bounds only the exponential searches: the ell-sets of rank-pjr and
+    dprf and the clique nodes of uprf.  The nodes charged are those of the
+    plain, unreplayed search: a replayed search or clique subtree charges
+    the nodes it charged when it ran.  Cover-set upkeep (up to 2^|W| cover
+    sets per threshold) is never charged.
     """
 
     node_budget: int = 1_000_000
@@ -156,14 +159,6 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     return AuditReport(notion, {}, PASS, None, EXACT)
 
 
-def _any_candidate(cols, ell, m, umask, budget, *_):
-    """rank-jr: any candidate with m approvers in the cover set; unbudgeted."""
-    for j, col in enumerate(cols):
-        if (col & umask).bit_count() >= m:
-            return col & umask, (j,)
-    return None
-
-
 def _ell_sets(cols, ell, m, umask, budget, *_):
     """rank-pjr and dprf: the first ell candidates, among those with m
     approvers in the cover set, that m of its agents all approve."""
@@ -182,13 +177,10 @@ def _ell_sets(cols, ell, m, umask, budget, *_):
     return None
 
 
-def _unopened(unopened, cols, ell, m, umask, budget, *_):
-    """rank-pjr+: the first unopened candidate with m approvers in the
-    cover set."""
+def _unopened(unopened, cols, ell, m, umask, *_):
+    """rank-jr and rank-pjr+: the first unopened candidate with m approvers
+    in the cover set.  At most |C| columns per cover set, so never charged."""
     for j in unopened:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _BudgetExceeded
         if (cols[j] & umask).bit_count() >= m:
             return cols[j] & umask, (j,)
     return None
@@ -264,13 +256,17 @@ def _clique_at_least(adj, ell, m, umask, budget, memo, entered):
         budget[0] = left
 
 
+def _unopened_scan(instance, outcome, notion, max_ell):
+    unopened = [j for j in range(instance.num_candidates) if j not in outcome.centers]
+    search = partial(_unopened, unopened)
+    return _threshold_scan(instance, outcome, Caps(), notion, search, _approvals(instance), max_ell)
+
+
 def rank_jr_check(instance, outcome):
     """At every threshold, no quota of agents shares an approved candidate
-    while none of them approves any center: the unbudgeted ell = 1 row of
-    the scan, so the verdict is always exact."""
-    return _threshold_scan(
-        instance, outcome, Caps(), "rank-jr", _any_candidate, _approvals(instance), 1
-    )
+    while none of them approves any center: the ell = 1 row of rank-pjr+,
+    never charged, so the verdict is always exact."""
+    return _unopened_scan(instance, outcome, "rank-jr", 1)
 
 
 def rank_pjr_check(instance, outcome, caps=Caps()):
@@ -289,14 +285,11 @@ def dprf_check(instance, outcome, caps=Caps()):
     )
 
 
-def rank_pjr_plus_check(instance, outcome, caps=Caps()):
+def rank_pjr_plus_check(instance, outcome):
     """Strengthening where a group sharing even one unselected candidate is
-    already owed ell centers."""
-    unopened = [j for j in range(instance.num_candidates) if j not in outcome.centers]
-    search = partial(_unopened, unopened)
-    return _threshold_scan(
-        instance, outcome, caps, "rank-pjr+", search, _approvals(instance), instance.k
-    )
+    already owed ell centers.  Never charged, so the verdict is always
+    exact."""
+    return _unopened_scan(instance, outcome, "rank-pjr+", instance.k)
 
 
 def uprf_check(instance, outcome, caps=Caps()):

@@ -80,7 +80,7 @@ def q_group_sum_ratio(instance, outcome, q, agents, cands):
     sv = sum(
         heapq.nsmallest(q, (instance.d_ac(i, j) for j in cands))[-1] for i in agents
     )
-    return ratio(sw, sv) if (sv != 0 or sw != 0) else 1
+    return ratio(sw, sv)
 
 
 def group_min_ratio(instance, outcome, agents, cand):

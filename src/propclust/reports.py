@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 EXACT = "exact"
@@ -95,5 +95,4 @@ def decode_value(v):
 def encode_witness(w):
     if w is None:
         return None
-    data = asdict(w)
-    return {k: encode_value(v) for k, v in sorted(data.items())}
+    return {k: encode_value(v) for k, v in sorted(vars(w).items())}

@@ -213,16 +213,28 @@ def test_violation_found_before_cap_is_exact():
     assert report.status == "exact"
 
 
-def test_replayed_searches_charge_their_nodes():
-    # an unchanged failed search is replayed, not re-run, and still costs
-    # the nodes it charged: the violation needs exactly 1736 nodes here,
-    # and a replay that charged nothing would find it with 1421
+def test_rank_pjr_plus_is_never_budgeted():
+    # the violation lies 1,736 candidate checks into the scan, replays
+    # counted; rank-pjr+ is never charged, so no budget can hide it
     inst = parse_instance(generate_family("euclidean", 12, 5, 10))
-    W = Outcome(frozenset({0, 1, 10}))
-    short = rank_pjr_plus_check(inst, W, Caps(1735))
-    assert (short.value, short.status) == ("pass", CAP_EXHAUSTED)
-    enough = rank_pjr_plus_check(inst, W, Caps(1736))
-    assert (enough.value, enough.status) == ("violation", "exact")
+    report = rank_pjr_plus_check(inst, Outcome(frozenset({0, 1, 10})))
+    assert (report.value, report.status) == ("violation", "exact")
+    v = report.witness
+    assert (v.threshold_y, v.ell, v.witness_candidates) == (0.5228690022585855, 4, (9,))
+    assert v.group == (0, 1, 2, 3, 4, 6, 7, 8, 9, 10)
+    assert v.covered_winners == (0, 1, 10)
+
+
+def test_rank_pjr_plus_exact_on_euclidean_160():
+    # more than a million candidate checks, replays counted, precede this
+    # violation: past the default node budget
+    inst = parse_instance(generate_family("euclidean", 160, 5, 1))
+    W, _ = greedy_capture(inst)
+    report = rank_pjr_plus_check(inst, W)
+    assert (report.value, report.status) == ("violation", "exact")
+    v = report.witness
+    assert (v.threshold_y, v.ell, v.witness_candidates) == (0.5190531844854269, 4, (2,))
+    assert v.covered_winners == (15, 80, 109)
 
 
 def test_rank_jr_is_never_budgeted():

@@ -54,9 +54,10 @@ def test_small_corpus_outputs_byte_identical(small_corpus):
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_DIGEST
 
 
-# Recorded before the threshold sweeps of audit_rank were merged into one
-# incremental scan; small node budgets pin where each audit runs out.
-RECORDED_BUDGET_DIGEST = "8db7f0699b48461af19c64e4c60015ae9ebb959af4b879ccd9169d68519d2d81"
+# Recorded when rank-pjr+ stopped charging nodes: its 907 cap_exhausted
+# records became the reports of a Caps(10**9) run, and nothing else moved.
+# Small node budgets pin where rank-pjr, dprf and uprf run out.
+RECORDED_BUDGET_DIGEST = "ff955a43e3f83838d04f557e9f0efa68b332910b6db3c8d4a96fc967465f2d5a"
 RANK_CHECKS = (
     audit_rank.rank_jr_check,
     audit_rank.rank_pjr_check,
@@ -79,7 +80,7 @@ def budget_outputs(corpus):
                 caps = audit_rank.Caps(node_budget=budget)
                 for check in RANK_CHECKS:
                     args = (inst, outcome)
-                    if check is not audit_rank.rank_jr_check:
+                    if check not in (audit_rank.rank_jr_check, audit_rank.rank_pjr_plus_check):
                         args += (caps,)
                     records.append([idx, o, budget, check(*args).to_json()])
     return records
