@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
-from .instance import _approvals, _bits, _growing_masks, _proximity, quota
+from .instance import _approvals, _bits, _checked_centers, _growing_masks, _proximity, quota
 from .reports import CAP_EXHAUSTED, EXACT, PASS, VIOLATION, AuditReport, RankViolation
 
 
@@ -105,14 +105,12 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     """
     ys, width, pairs = sweep
     n, k = instance.n, instance.k
-    centers = outcome.sorted_centers()
+    centers = _checked_centers(instance, outcome)
     everyone = (1 << n) - 1
     # [ell, m, positions outside Y, umask, nodes of the last failed search, memo]
     live = []
     for ell in range(1, max_ell + 1):
         m = quota(n, k, ell, 1)
-        if m > n:
-            continue
         for ysub in combinations(range(len(centers)), min(ell - 1, len(centers))):
             outside = tuple(p for p in range(len(centers)) if p not in ysub)
             live.append([ell, m, outside, everyone, None, {}])

@@ -10,7 +10,7 @@ pf and tc are the q = 1, single-candidate case of q-core and q-tc, so all
 four run ``deviation_scan``; pf and tc hand it the unopened candidates, the
 q-audits every candidate.  The scan is pruned by its incumbent, the best
 value so far: a bit-mask test on each agent's candidates with ratio above
-the incumbent skips every target that cannot beat it.
+the incumbent skips every target that cannot beat it, except in tc.
 
 All audits report a value together with a witness that reproduces it, and
 all arithmetic stays exact whenever the metric is exact.
@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import ge, gt
 
-from .instance import quota
+from .instance import _checked_centers, quota
 from .reports import EXACT, AuditReport, Witness
 
 
@@ -46,8 +46,8 @@ def ratio(num, den):
 
 def dists_to_centers(instance, outcome, q=1):
     """Per agent index, the distance to the q-th closest center; inf when
-    the outcome holds fewer than q centers."""
-    centers = outcome.sorted_centers()
+    the outcome holds fewer than q.  A non-candidate center raises."""
+    centers = _checked_centers(instance, outcome)
     if len(centers) < q:
         return [math.inf] * instance.n
     return [heapq.nsmallest(q, (row[c] for c in centers))[-1] for row in instance.dist_rows]
@@ -156,8 +156,8 @@ def _single_center(instance, outcome, notion, params, gamma):
     return AuditReport(notion, params, value, Witness(agents=group, candidates=cands), EXACT)
 
 
-# Relative rounding room of a float group ratio over its members' ratios:
-# two sums of at most n terms and one division stay far inside it.
+# Relative rounding room of a float q-tc group ratio (q >= 2) over its
+# members' ratios: two sums of n terms and one division stay far inside it.
 _FLOAT_ROOM = 1e-9
 
 
@@ -181,17 +181,15 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     holds q of the candidates G_i = {j : r_ij > b}.  A valued-at-m
     deviation beats b only if m agents do, which is exact, floats included;
     its top m agents are then among them, so its value is read from the
-    ratios above b alone.  A summed one beats b only if one agent does.  A
-    float group ratio can round past its members', so on float data a
-    summed scan widens G_i by _FLOAT_ROOM and scores every survivor; on
-    exact data it scores only the survivors that pass ``may_beat`` at b.
-    At q = 1 on exact data a summed scan skips the G_i test and leaves
-    each subset to ``may_beat``: the test's ratios, one per agent and
-    candidate, cost more than the test saves there.
+    ratios above b alone.  A summed one beats b only if one agent does; on
+    exact data it is scored only if it passes ``may_beat`` at b.  At q = 1
+    (tc) a summed scan skips the G_i test, whose ratios cost more than it
+    saves.  At q >= 2 a float group ratio can round past its members', so
+    on float data a summed scan widens G_i by _FLOAT_ROOM.
     """
     n, k = instance.n, instance.k
     room = _FLOAT_ROOM if summed and not instance.space.exact else 0
-    unfiltered = summed and not room and q == 1
+    unfiltered = summed and q == 1
     dqW = dists_to_centers(instance, outcome, q)
     by_candidate = list(zip(*instance.dist_rows))
     dcols = [by_candidate[j] for j in pool]
@@ -294,8 +292,9 @@ def max_sum_ratio(pairs, m):
     ``pairs`` is a list of (w, v) with v >= 0.  Returns (value, group) where
     group attains the value, or (0, None) when no group can have a positive
     numerator.  The value is inf when some feasible all-zero-denominator
-    group has positive numerator.  Dinkelbach iteration: finitely many
-    breakpoints, so exact data terminates at the exact optimum.
+    group has positive numerator.  Dinkelbach iteration: t rises strictly
+    through finitely many subset ratios, so exact data ends at the exact
+    optimum; float data also stops at a gain within 1e-12 * max(1, |t|).
     """
     n = len(pairs)
     if m > n or m < 1:
@@ -329,7 +328,7 @@ def max_sum_ratio(pairs, m):
         return 0, None
     t = ratio(sw, sv)
     group = tuple(sorted(start))
-    for _ in range(100_000):
+    while True:
         chosen, gain = level_set(t)
         eps = 0 if exact else 1e-12 * max(1.0, abs(t))
         if gain <= eps:
@@ -341,4 +340,3 @@ def max_sum_ratio(pairs, m):
             return t, group
         t = t_next
         group = tuple(sorted(chosen))
-    raise RuntimeError("ratio maximization did not converge")

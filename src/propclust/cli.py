@@ -85,10 +85,8 @@ def cmd_solve(args):
             if args.q is None:
                 return _fail("fgc needs --q")
             outcome, trace = algorithms.fair_greedy_capture(instance, args.q, args.seed)
-        elif args.alg in ("gc-restricted", "ea-restricted"):
-            outcome, trace = algorithms.restricted_solve(instance, args.alg.split("-")[0])
         else:
-            return _fail(f"unknown algorithm {args.alg!r}")
+            outcome, trace = algorithms.restricted_solve(instance, args.alg.split("-")[0])
     except ValueError as exc:
         return _fail(str(exc))
     payload = {

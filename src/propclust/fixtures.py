@@ -183,8 +183,8 @@ def qtc_blocks(n=10, k=4):
     return inst, labels, Outcome(centers)
 
 
-def outcome_of(labels, names, origin="external"):
-    return Outcome(frozenset(labels[x] for x in names), origin)
+def outcome_of(labels, names):
+    return Outcome(frozenset(labels[x] for x in names))
 
 
 @dataclass(frozen=True)

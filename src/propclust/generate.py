@@ -23,7 +23,7 @@ def euclidean_instance(rng, n, k, extra_candidates=0):
     return Instance(space, tuple(range(n)), "all", k)
 
 
-def _graph_edges(rng, total, zero_edges=True):
+def _graph_edges(rng, total):
     edges = []
     for v in range(1, total):
         u = rng.randrange(v)
@@ -32,16 +32,16 @@ def _graph_edges(rng, total, zero_edges=True):
         u = rng.randrange(total)
         v = rng.randrange(total)
         if u != v:
-            lo = 0 if zero_edges and rng.random() < 0.2 else 1
+            lo = 0 if rng.random() < 0.2 else 1
             edges.append((u, v, rng.randint(lo, 9)))
     return edges
 
 
-def graph_instance(rng, n, k, extra_candidates=0, zero_edges=True):
+def graph_instance(rng, n, k, extra_candidates=0):
     """Connected random graph with integer weights; a sprinkling of
     zero-weight edges keeps co-located points in the mix."""
     total = n + extra_candidates
-    edges = _graph_edges(rng, total, zero_edges)
+    edges = _graph_edges(rng, total)
     space = MetricSpace.from_graph(total, edges)
     return Instance(space, tuple(range(n)), "all", k)
 
@@ -65,8 +65,6 @@ def random_instance(rng, max_n=12, max_c=12, max_k=5, mode=None):
     extra = 0 if mode == "equal" else rng.randint(1, max(1, max_c - n))
     if n + extra > max_c:
         extra = max(0, max_c - n)
-    if mode == "equal":
-        extra = 0
     family = rng.choice(["euclidean", "graph"])
     if family == "euclidean":
         inst = euclidean_instance(rng, n, k, extra)

@@ -209,3 +209,11 @@ def validate(instance, outcome):
                 {"kind": "membership", "detail": f"center {c} is not a candidate index"}
             )
     return violations
+
+
+def _checked_centers(instance, outcome):
+    """Sorted centers; ValueError with ``validate``'s detail for a non-candidate."""
+    for problem in validate(instance, outcome):
+        if problem["kind"] == "membership":
+            raise ValueError(problem["detail"])
+    return outcome.sorted_centers()

@@ -6,8 +6,9 @@ the way through shortest paths and queries, so audits on integer-weighted
 instances never see rounding.  Every rule and auditor counts d as within
 radius y when ``d <= y``, on every kind of space: a float is an exact binary
 rational and all of them read the same stored distances, so comparing them
-as given is self-consistent.  The one float tolerance left is in
-:meth:`MetricSpace.from_matrix`'s triangle check.
+as given is self-consistent.  Three float tolerances are left, all for
+rounding: :meth:`MetricSpace.from_matrix`'s triangle check, and in
+``audit_single`` float q-tc's ``_FLOAT_ROOM`` and ``max_sum_ratio``'s 1e-12.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ class MetricSpace:
         self._d = d
         # True when every distance is an int or ``Fraction``
         self.exact = not any(isinstance(x, float) for row in d for x in row)
+        # far-apart finite coordinates can overflow to an inf distance
+        if not self.exact and any(math.inf in row for row in d):
+            raise ValueError("distances must be finite")
         self.kind = kind
         self.coords = coords
         self.norm = norm

@@ -10,6 +10,7 @@ from propclust import (
     Outcome,
     if_min_beta,
     pf_min_alpha,
+    q_tc_min_alpha,
     tc_min_alpha,
 )
 from propclust import fixtures
@@ -105,6 +106,8 @@ def test_tc_gamma_must_be_at_least_one():
     inst, L = fixtures.fig2a(4)
     with pytest.raises(ValueError):
         tc_min_alpha(inst, outcome_of(L, ("1",)), Fraction(1, 2))
+    with pytest.raises(ValueError, match="gamma must be at least 1"):
+        q_tc_min_alpha(inst, outcome_of(L, ("1",)), 1, gamma=Fraction(1, 2))
 
 
 def test_max_sum_ratio_engine():

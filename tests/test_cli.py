@@ -127,7 +127,17 @@ def test_solve_parse_error_exit2(tmp_path, capsys):
     wrong_dim = {"type": "points", "dim": 3, "coords": [[0, 0], [1, 0]]}
     nan_matrix = {"type": "matrix", "d": [[0, math.nan], [math.nan, 0]]}
     inf_matrix = {"type": "matrix", "d": [[0, math.inf], [math.inf, 0]]}
-    metrics = ({"type": "nope"}, zero_den_graph, zero_den_matrix, wrong_dim, nan_matrix, inf_matrix)
+    far = [[1e308, 0], [-1e308, 0], [1e308, 1], [-1e308, 1]]
+    far_points = {"type": "points", "dim": 2, "coords": far}
+    metrics = (
+        {"type": "nope"},
+        zero_den_graph,
+        zero_den_matrix,
+        wrong_dim,
+        nan_matrix,
+        inf_matrix,
+        far_points,
+    )
     for metric in metrics:
         payload = {"metric": metric, "agents": [0, 1], "candidates": "all", "k": 1}
         bad = write(tmp_path, "bad.json", payload)
@@ -135,6 +145,10 @@ def test_solve_parse_error_exit2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in json.loads(captured.err)
+        if metric is inf_matrix:
+            assert "invalid distance" in json.loads(captured.err)["error"]
+        if metric is far_points:
+            assert "distances must be finite" in json.loads(captured.err)["error"]
 
 
 def test_audit_pf_pass(fig3a_file, tmp_path, capsys):

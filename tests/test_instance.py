@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from propclust import Instance, MetricSpace, Outcome, quota, validate
 from propclust import fixtures
+from propclust.cli import NUMERIC_NOTIONS, RANK_NOTIONS, parse_instance, run_audit
 from propclust.fixtures import outcome_of
+from propclust.generate import generate_family
 
 
 def test_quota_examples():
@@ -79,6 +81,15 @@ def test_validate_membership():
     bad = Outcome(frozenset({0, 17}))
     kinds = [v["kind"] for v in validate(inst, bad)]
     assert "membership" in kinds
+
+
+@pytest.mark.parametrize("center", [-1, 8])
+@pytest.mark.parametrize("notion", NUMERIC_NOTIONS + RANK_NOTIONS)
+def test_auditors_reject_out_of_range_centers(notion, center):
+    # a negative center must not alias the last candidate
+    inst = parse_instance(generate_family("graph", 8, 3, 1))
+    with pytest.raises(ValueError, match=f"center {center} is not a candidate index"):
+        run_audit(inst, Outcome({center}), notion)
 
 
 def test_instance_construction_errors():

@@ -209,6 +209,34 @@ def test_points_triangle_sampled(seed, n):
         assert space.dist(i, k) <= space.dist(i, j) + space.dist(j, k) + 1e-9
 
 
+# finite coordinates this far apart overflow to inf distances
+FAR = [[1e308, 0], [-1e308, 0], [1e308, 1], [-1e308, 1]]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MetricSpace.from_graph(2, [(0, 1, True)]), "invalid weight: bool"),
+        (lambda: MetricSpace.from_graph(2, [(0, 1, [-1, 2])]), "negative weight"),
+        (lambda: MetricSpace.from_graph(2, [(0, 1, "1")]), "invalid weight"),
+        (lambda: MetricSpace.from_matrix([[0, 1], [1]]), "not square"),
+        (lambda: MetricSpace.from_matrix([[0, -1], [-1, 0]]), "negative distance"),
+        (lambda: MetricSpace.from_graph(0, []), "at least one node"),
+        (lambda: MetricSpace.from_graph(2, [(0, 2, 1)]), "endpoint out of range"),
+        (lambda: MetricSpace.from_points([]), "at least one point"),
+        (lambda: MetricSpace.from_points([[0.0, 0.0], [1.0]]), "inconsistent dimension"),
+        (lambda: MetricSpace.from_matrix([[0, math.inf], [math.inf, 0]]), "must be finite"),
+    ]
+    + [
+        (lambda norm=norm: MetricSpace.from_points(FAR, norm), "must be finite")
+        for norm in ("l1", "l2", "linf")
+    ],
+)
+def test_metric_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_from_points_rejects_non_finite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
