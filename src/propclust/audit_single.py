@@ -12,8 +12,11 @@ q-audits every candidate.  The scan is pruned by its incumbent, the best
 value so far: a bit-mask test on each agent's candidates with ratio above
 the incumbent skips every target that cannot beat it, except in tc.
 
-All audits report a value together with a witness that reproduces it, and
-all arithmetic stays exact whenever the metric is exact.
+All audits report a value together with a witness that reproduces it.  The
+summed scans (tc, q-tc) are exact on every space: they read the instance's
+integer table ``int_rows``.  pf, if and q-core compare single quotients of
+the stored distances, exact whenever the metric is exact and correctly
+rounded otherwise.
 """
 
 from __future__ import annotations
@@ -31,26 +34,31 @@ from .reports import EXACT, AuditReport, Witness
 def ratio(num, den):
     """num/den with the audit conventions at zero.
 
-    A zero denominator with positive numerator is an unbounded improvement
-    (inf); zero over zero can never strictly improve and counts as 1.
-    Exact inputs yield a Fraction, anything float yields a float.
+    An infinite numerator or a zero denominator with positive numerator is
+    an unbounded improvement (inf); zero over zero can never strictly
+    improve and counts as 1.  Exact inputs yield a Fraction, anything float
+    yields a float; an int is never converted, however wide.
     """
+    if num == math.inf:
+        return math.inf
     if den == 0:
         return 1 if num == 0 else math.inf
     if num == 0:
         return 0
-    if isinstance(num, float) or isinstance(den, float) or math.isinf(num):
+    if isinstance(num, float) or isinstance(den, float):
         return num / den
     return Fraction(num, den)
 
 
-def dists_to_centers(instance, outcome, q=1):
-    """Per agent index, the distance to the q-th closest center; inf when
-    the outcome holds fewer than q.  A non-candidate center raises."""
+def dists_to_centers(instance, outcome, q=1, rows=None):
+    """Per agent index, the distance to the q-th closest center, read from
+    ``rows`` (``instance.dist_rows`` when None); inf when the outcome holds
+    fewer than q.  A non-candidate center raises."""
     centers = _checked_centers(instance, outcome)
     if len(centers) < q:
         return [math.inf] * instance.n
-    return [heapq.nsmallest(q, (row[c] for c in centers))[-1] for row in instance.dist_rows]
+    rows = instance.dist_rows if rows is None else rows
+    return [heapq.nsmallest(q, (row[c] for c in centers))[-1] for row in rows]
 
 
 def top_group(ratios, m):
@@ -156,11 +164,6 @@ def _single_center(instance, outcome, notion, params, gamma):
     return AuditReport(notion, params, value, Witness(agents=group, candidates=cands), EXACT)
 
 
-# Relative rounding room of a float q-tc group ratio (q >= 2) over its
-# members' ratios: two sums of n terms and one division stay far inside it.
-_FLOAT_ROOM = 1e-9
-
-
 def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     """The deviation scan behind pf, tc, q-core and q-tc.
 
@@ -181,17 +184,21 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     holds q of the candidates G_i = {j : r_ij > b}.  A valued-at-m
     deviation beats b only if m agents do, which is exact, floats included;
     its top m agents are then among them, so its value is read from the
-    ratios above b alone.  A summed one beats b only if one agent does; on
-    exact data it is scored only if it passes ``may_beat`` at b.  At q = 1
-    (tc) a summed scan skips the G_i test, whose ratios cost more than it
-    saves.  At q >= 2 a float group ratio can round past its members', so
-    on float data a summed scan widens G_i by _FLOAT_ROOM.
+    ratios above b alone.  A summed one beats b only if one agent does, and
+    it is scored only if it passes ``may_beat`` at b.  At q = 1 (tc) a
+    summed scan skips the G_i test, whose ratios cost more than it saves.
+
+    A summed scan reads ``instance.int_rows``, so every comparison it makes
+    is exact, on float data too.  A float instance then reports the float
+    re-evaluation of the exact witness, ``q_group_sum_ratio``.
     """
     n, k = instance.n, instance.k
-    room = _FLOAT_ROOM if summed and not instance.space.exact else 0
     unfiltered = summed and q == 1
-    dqW = dists_to_centers(instance, outcome, q)
-    by_candidate = list(zip(*instance.dist_rows))
+    rows = instance.int_rows if summed else instance.dist_rows
+    dqW = dists_to_centers(instance, outcome, q, rows)
+    # every d_q(i, W) is inf when W holds fewer than q centers
+    bounded = dqW[0] != math.inf
+    by_candidate = list(zip(*rows))
     dcols = [by_candidate[j] for j in pool]
     width = len(pool)
     # d_q(i, C') of a summed deviation; min is the common q = 1 case
@@ -203,8 +210,6 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
         candidates in G_i at all.  b only rises, so each call filters
         the columns the last one kept."""
         bound, above = (1, ge) if incumbent is None else (incumbent, gt)
-        if room:
-            bound, above = bound * (1 - room), gt
         columns = [[(i, r) for i, r in column if above(r, bound)] for column in columns]
         hits = [sum(1 << i for i, _ in column) for column in columns]
         return columns, hits, _reach(hits, range(width), q).bit_count()
@@ -212,10 +217,9 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     best = None
     reach = n
     if not unfiltered:
-        # r_ij >= 1 exactly when d_q(i, W) >= d(i, j); only rounding room
-        # needs the ratios below 1
+        # r_ij >= 1 exactly when d_q(i, W) >= d(i, j)
         columns = [
-            [(i, ratio(w, d)) for i, (w, d) in enumerate(zip(dqW, dcol)) if room or w >= d]
+            [(i, ratio(w, d)) for i, (w, d) in enumerate(zip(dqW, dcol)) if w >= d]
             for dcol in dcols
         ]
         columns, hits, reach = hit_masks(columns, None)
@@ -230,7 +234,7 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
             incumbent = None if best is None else best[0]
             if summed:
                 pairs = list(zip(dqW, map(qth_smallest, zip(*[dcols[j] for j in csub]))))
-                if not room and not may_beat(pairs, m, incumbent):
+                if bounded and not may_beat(pairs, m, incumbent):
                     continue
                 value, group = max_sum_ratio(pairs, m)
             else:
@@ -251,7 +255,10 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     if best is None:
         return None
     value, csub, group, size = best
-    return value, tuple(pool[j] for j in csub), group, size
+    cands = tuple(pool[j] for j in csub)
+    if summed and not instance.space.exact:
+        value = q_group_sum_ratio(instance, outcome, q, group, cands)
+    return value, cands, group, size
 
 
 def _reach(hits, cands, q):
@@ -267,34 +274,38 @@ def _reach(hits, cands, q):
 
 
 def may_beat(pairs, m, incumbent):
-    """Dinkelbach's level-set test on exact ``pairs`` (w, v).
+    """Dinkelbach's level set on exact ``pairs`` (w, v), v >= 0, at the
+    bound b = p/q: ``incumbent``, or 1 while there is none (None).
 
-    False only when no index set of at least m pairs has sum(w)/sum(v)
-    above ``incumbent``, or, while there is none (None), at 1 or above.
-    With bound b = P/Q, the largest sum of Q*w - P*v over such sets is
-    then negative, or zero with an incumbent; integer data stays in
-    integers.  An all-zero-denominator group with positive numerator has a
-    positive sum, so it always passes.  Infinite w or incumbent are not
-    tested.
+    Of the index sets of at least m pairs, the one with the largest sum of
+    margins q*w - p*v holds the m largest margins, ties to the lower index,
+    and every later positive one; integer pairs keep the margins integers.
+    That set is returned, unordered, when its sum is positive, or zero
+    while there is no incumbent, and None otherwise: exactly when some set
+    of at least m pairs has sum(w)/sum(v) above b (at 1 or above while there
+    is no incumbent).  A set of zero-denominator pairs with positive
+    numerator has a positive sum, so it always passes.  Every w must be
+    finite.
     """
     bound = 1 if incumbent is None else incumbent
-    if bound == math.inf or any(w == math.inf for w, _ in pairs):
-        return True
     p, q = bound.numerator, bound.denominator
-    margins = sorted((q * w - p * v for w, v in pairs), reverse=True)
-    gain = sum(margins[:m]) + sum(g for g in margins[m:] if g > 0)
-    return gain > 0 or (gain == 0 and incumbent is None)
+    margins = [q * w - p * v for w, v in pairs]
+    order = sorted(range(len(margins)), key=margins.__getitem__, reverse=True)
+    chosen = order[:m] + [i for i in order[m:] if margins[i] > 0]
+    gain = sum(margins[i] for i in chosen)
+    return chosen if gain > 0 or (gain == 0 and incumbent is None) else None
 
 
 def max_sum_ratio(pairs, m):
     """Maximize sum(w)/sum(v) over index sets of size >= m.
 
-    ``pairs`` is a list of (w, v) with v >= 0.  Returns (value, group) where
-    group attains the value, or (0, None) when no group can have a positive
-    numerator.  The value is inf when some feasible all-zero-denominator
-    group has positive numerator.  Dinkelbach iteration: t rises strictly
-    through finitely many subset ratios, so exact data ends at the exact
-    optimum; float data also stops at a gain within 1e-12 * max(1, |t|).
+    ``pairs`` is a list of exact (w, v) with v >= 0; w may be inf.  Returns
+    (value, group) where group attains the value, or (0, None) when no
+    group can have a positive numerator.  The value is inf when some
+    feasible all-zero-denominator group has positive numerator, or some w
+    is inf.  Dinkelbach iteration: from t = 0, each level set of
+    ``may_beat`` that beats t has a strictly larger ratio, so t rises
+    through finitely many subset ratios and ends at the exact optimum.
     """
     n = len(pairs)
     if m > n or m < 1:
@@ -306,37 +317,8 @@ def max_sum_ratio(pairs, m):
     if any(w == math.inf for w, _ in pairs):
         group = tuple(sorted(range(n), key=lambda i: (-pairs[i][0], i))[:m])
         return math.inf, group
-
-    exact = not any(isinstance(w, float) or isinstance(v, float) for w, v in pairs)
-
-    def level_set(t):
-        margins = [(pairs[i][0] - t * pairs[i][1], i) for i in range(n)]
-        margins.sort(key=lambda mi: (-mi[0], mi[1]))
-        chosen = [i for _, i in margins[:m]]
-        chosen += [i for mg, i in margins[m:] if mg > 0]
-        gain = sum(mg for mg, _ in margins[:m]) + sum(
-            mg for mg, _ in margins[m:] if mg > 0
-        )
-        # ascending-index sums keep reported values bit-identical to a
-        # re-evaluation of the witness
-        return sorted(chosen), gain
-
-    start, _ = level_set(0)
-    sw = sum(pairs[i][0] for i in start)
-    sv = sum(pairs[i][1] for i in start)
-    if sw == 0:
-        return 0, None
-    t = ratio(sw, sv)
-    group = tuple(sorted(start))
-    while True:
-        chosen, gain = level_set(t)
-        eps = 0 if exact else 1e-12 * max(1.0, abs(t))
-        if gain <= eps:
-            return t, group
-        sw = sum(pairs[i][0] for i in chosen)
-        sv = sum(pairs[i][1] for i in chosen)
-        t_next = ratio(sw, sv)
-        if t_next <= t:
-            return t, group
-        t = t_next
-        group = tuple(sorted(chosen))
+    t, group = 0, None
+    while (chosen := may_beat(pairs, m, t)) is not None:
+        t = ratio(sum(pairs[i][0] for i in chosen), sum(pairs[i][1] for i in chosen))
+        group = chosen
+    return t, None if group is None else tuple(sorted(group))

@@ -47,12 +47,12 @@ class Instance:
     entries are allowed (co-located voters are distinct agents); candidate
     entries are distinct selectable slots even when co-located.
 
-    Rules and auditors read three lazily built, read-only tables: the
-    agent-by-candidate distances ``dist_rows``, the agent-by-agent distances
-    ``agent_rows`` and the sorted distinct agent-candidate distances
-    ``levels``.  ``d_ac`` and ``d_aa`` read the metric space directly; the
-    brute-force oracle uses only those, so it stays independent of the
-    tables.
+    Rules and auditors read four lazily built, read-only tables: the
+    agent-by-candidate distances ``dist_rows`` and their integer scaling
+    ``int_rows``, the agent-by-agent distances ``agent_rows`` and the
+    sorted distinct agent-candidate distances ``levels``.  ``d_ac`` and
+    ``d_aa`` read the metric space directly; the brute-force oracle uses
+    only those, so it stays independent of the tables.
     """
 
     space: MetricSpace
@@ -101,6 +101,17 @@ class Instance:
         """Per agent index, the distances to every candidate index."""
         dist = self.space.dist
         return tuple(tuple(dist(a, c) for c in self.candidates) for a in self.agents)
+
+    @cached_property
+    def int_rows(self):
+        """``dist_rows`` times the lcm of all their denominators: an integer
+        table with the same ratios.  Every float is an exact binary
+        rational, so the scale is a power of two on float data, and 1 on
+        integer data.  The summed deviation audits read it, which keeps
+        tc and q-tc exact on every kind of space."""
+        rows = [[d.as_integer_ratio() for d in row] for row in self.dist_rows]
+        scale = math.lcm(*{den for row in rows for _, den in row})
+        return tuple(tuple(num * (scale // den) for num, den in row) for row in rows)
 
     @cached_property
     def agent_rows(self):

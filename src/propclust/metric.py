@@ -6,9 +6,8 @@ the way through shortest paths and queries, so audits on integer-weighted
 instances never see rounding.  Every rule and auditor counts d as within
 radius y when ``d <= y``, on every kind of space: a float is an exact binary
 rational and all of them read the same stored distances, so comparing them
-as given is self-consistent.  Three float tolerances are left, all for
-rounding: :meth:`MetricSpace.from_matrix`'s triangle check, and in
-``audit_single`` float q-tc's ``_FLOAT_ROOM`` and ``max_sum_ratio``'s 1e-12.
+as given is self-consistent.  One float tolerance is left, for input
+rounding: :meth:`MetricSpace.from_matrix`'s triangle check.
 """
 
 from __future__ import annotations

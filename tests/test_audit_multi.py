@@ -8,6 +8,7 @@ from propclust import (
     MetricSpace,
     Outcome,
     expanding_approvals,
+    greedy_capture,
     pf_min_alpha,
     q_core_min_alpha,
     q_if_min_beta,
@@ -243,10 +244,10 @@ def test_q_scan_tie_after_rise_keeps_earlier_subset():
 
 
 def test_qtc_float_group_ratio_rounding_past_members():
-    # Both agents improve by exactly the same float ratio b at candidate 1,
-    # yet their summed ratio rounds one ulp above b.  Candidate 0 is worth
-    # b first (agent 0 alone), so candidate 1 must still be scored even
-    # though neither agent's own ratio there exceeds b.
+    # Both agents improve by the same float ratio b at candidate 1, and
+    # their summed float ratio rounds one ulp above b.  Exactly, the group's
+    # ratio there is below agent 0's ratio b at candidate 0, so candidate 1
+    # cannot beat candidate 0, which is worth b first (agent 0 alone).
     d = [
         [0, 2.981797981049634, 1.5702432095340706, 1.134364244112401, 1.134364244112401],
         [2.981797981049634, 0, 2.5573093435783556, 3.0, 1.8474337369372327],
@@ -258,7 +259,77 @@ def test_qtc_float_group_ratio_rounding_past_members():
     W = Outcome([2])
     b = inst.d_ac(0, 2) / inst.d_ac(0, 0)
     assert b == inst.d_ac(1, 2) / inst.d_ac(1, 1)
+    assert q_group_sum_ratio(inst, W, 1, (0, 1), (1,)) > b
+    exact = [[Fraction(inst.d_ac(i, j)) for j in range(3)] for i in range(2)]
+    group = (exact[0][2] + exact[1][2]) / (exact[0][1] + exact[1][1])
+    alone = exact[0][2] / exact[0][0]
+    assert group == Fraction(3098140690024877, 2238137379391538)
+    assert alone == Fraction(1767936683334673, 1277180596771756)
+    assert group < alone
     report = q_tc_min_alpha(inst, W, 1, 1, size_cap=1)
-    assert report.value > b
-    assert report.witness == Witness(agents=(0, 1), candidates=(1,), ell=1)
-    assert q_group_sum_ratio(inst, W, 1, (0, 1), (1,)) == report.value
+    assert report.value == b
+    assert report.witness == Witness(agents=(0,), candidates=(0,), ell=1)
+
+
+def _exact_copy(inst):
+    """The same instance over the exact values of its distances."""
+    space = inst.space
+    npts = space.num_points
+    d = [[Fraction(space.dist(a, b)) for b in range(npts)] for a in range(npts)]
+    return Instance(MetricSpace(d, "matrix"), inst.agents, inst.candidates, inst.k)
+
+
+SUMMED_AUDITS = [
+    (tc_min_alpha, (1,)),
+    (tc_min_alpha, (2,)),
+    (q_tc_min_alpha, (1,)),
+    (q_tc_min_alpha, (2,)),
+]
+
+
+def _check_float_matches_exact(inst, exact, W):
+    """Each summed audit names the witness on ``inst`` that it names on
+    ``exact``, valued at its float re-evaluation; returns how many did."""
+    witnessed = 0
+    for audit, args in SUMMED_AUDITS:
+        report, truth = audit(inst, W, *args), audit(exact, W, *args)
+        assert report.witness == truth.witness
+        if report.witness is None:
+            assert report.value == truth.value == 1
+            continue
+        q, w = report.params.get("q", 1), report.witness
+        assert report.value == q_group_sum_ratio(inst, W, q, w.agents, w.candidates)
+        witnessed += 1
+    return witnessed
+
+
+def test_summed_audits_exact_across_600_orders_of_magnitude():
+    # a = 1e-300 and b = 1e300 scale to 2,046-bit integers, and float
+    # quotients such as b / a overflow to inf
+    a, b = 1e-300, 1e300
+    d = [[0, a, b, b], [a, 0, b, b], [b, b, 0, a], [b, b, a, 0]]
+    inst = Instance(MetricSpace.from_matrix(d), (0, 1, 2), "all", 2)
+    exact = _exact_copy(inst)
+    for W in (Outcome([2]), Outcome([3]), Outcome([0])):
+        _check_float_matches_exact(inst, exact, W)
+    # both float quotients are inf, yet exactly (2b + a) / a > 2b / a
+    W = Outcome([3])
+    report = q_tc_min_alpha(inst, W, 1)
+    assert report.witness == Witness(agents=(0, 1, 2), candidates=(0, 2), ell=2)
+    assert report.value == math.inf
+    assert q_tc_min_alpha(exact, W, 1).value == (2 * Fraction(b) + Fraction(a)) / Fraction(a)
+
+
+def test_summed_audits_float_equals_exact(small_corpus):
+    witnessed = 0
+    for inst in small_corpus:
+        if inst.space.exact:
+            continue
+        exact = _exact_copy(inst)
+        for rule in (greedy_capture, expanding_approvals):
+            try:
+                W, _ = rule(inst)
+            except ValueError:
+                continue
+            witnessed += _check_float_matches_exact(inst, exact, W)
+    assert witnessed > 0
