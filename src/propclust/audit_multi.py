@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .audit_single import deviation_scan, q_group_min_ratio, q_group_sum_ratio, radius_scan
 from .instance import quota
+from .metric import _as_gamma
 from .reports import CAP_EXHAUSTED, EXACT, AuditReport, Witness
 
 
@@ -65,9 +66,7 @@ def q_if_min_beta(instance, outcome, q):
 def q_tc_min_alpha(instance, outcome, q, gamma=1, size_cap=None):
     """Smallest transferable-core factor for q-of-C' deviations at scale
     gamma, maximizing the ratio of summed q-th-center distances."""
-    g = Fraction(gamma)
-    if g < 1:
-        raise ValueError("gamma must be at least 1")
+    g = Fraction(*_as_gamma(gamma))
     if size_cap is None:
         size_cap = max(q, default_size_cap(instance))
     if q < 1 or q > size_cap:

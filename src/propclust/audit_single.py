@@ -17,17 +17,23 @@ summed scans (tc, q-tc) are exact on every space: they read the instance's
 integer table ``int_rows``.  pf, if and q-core compare single quotients of
 the stored distances, exact whenever the metric is exact and correctly
 rounded otherwise.
+
+Every q-th closest center, of W and of C', and each agent's quota-th
+closest agent is picked by one helper, ``_qth_smallest``: ``min`` at
+q = 1 and a stable sort otherwise.  Both break ties by position, as
+``heapq.nsmallest`` does, so an int, a Fraction or a float comes back as
+the very object stored and encodes to the same bytes.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 from itertools import combinations
 from operator import ge, gt
 
 from .instance import _checked_centers, quota
+from .metric import _as_gamma
 from .reports import EXACT, AuditReport, Witness
 
 
@@ -58,7 +64,18 @@ def dists_to_centers(instance, outcome, q=1, rows=None):
     if len(centers) < q:
         return [math.inf] * instance.n
     rows = instance.dist_rows if rows is None else rows
-    return [heapq.nsmallest(q, (row[c] for c in centers))[-1] for row in rows]
+    pick = _qth_smallest(q)
+    return [pick([row[c] for c in centers]) for row in rows]
+
+
+def _qth_smallest(q):
+    """The function that returns the q-th smallest of a sequence, or its
+    largest when it holds fewer: the same object that
+    ``heapq.nsmallest(q, values)[-1]`` returns, since ``min`` and the
+    stable sort both break ties by position."""
+    if q == 1:
+        return min
+    return lambda values: sorted(values)[:q][-1]
 
 
 def top_group(ratios, m):
@@ -73,9 +90,10 @@ def q_group_min_ratio(instance, outcome, q, agents, cands):
     """Re-evaluate a q-core witness: the worst improvement ratio of
     ``agents`` measured at their q-th closest point of ``cands``."""
     dqW = dists_to_centers(instance, outcome, q)
+    pick = _qth_smallest(q)
     vals = []
     for i in agents:
-        dqc = heapq.nsmallest(q, (instance.d_ac(i, j) for j in cands))[-1]
+        dqc = pick([instance.d_ac(i, j) for j in cands])
         vals.append(ratio(dqW[i], dqc))
     return min(vals)
 
@@ -84,10 +102,9 @@ def q_group_sum_ratio(instance, outcome, q, agents, cands):
     """Re-evaluate a q-transferable-core witness (ratio of summed q-th
     distances)."""
     dqW = dists_to_centers(instance, outcome, q)
+    pick = _qth_smallest(q)
     sw = sum(dqW[i] for i in agents)
-    sv = sum(
-        heapq.nsmallest(q, (instance.d_ac(i, j) for j in cands))[-1] for i in agents
-    )
+    sv = sum(pick([instance.d_ac(i, j) for j in cands]) for i in agents)
     return ratio(sw, sv)
 
 
@@ -130,9 +147,10 @@ def radius_scan(instance, outcome, notion, params, q):
     if count > instance.n:
         raise ValueError("count exceeds number of agents")
     dqW = dists_to_centers(instance, outcome, q)
+    radius = _qth_smallest(count)
     best = None
     for i, row in enumerate(instance.agent_rows):
-        value = ratio(dqW[i], heapq.nsmallest(count, row)[-1])
+        value = ratio(dqW[i], radius(row))
         if best is None or value > best[0]:
             best = (value, i)
     value, i = best
@@ -148,9 +166,7 @@ def tc_min_alpha(instance, outcome, gamma=1):
     outcome and groups of at least ceil(gamma * n / k) agents, exactly, via
     Dinkelbach iteration on the subset-ratio problem.
     """
-    g = Fraction(gamma)
-    if g < 1:
-        raise ValueError("gamma must be at least 1")
+    g = Fraction(*_as_gamma(gamma))
     return _single_center(instance, outcome, "tc", {"gamma": g}, g)
 
 
@@ -201,8 +217,8 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     by_candidate = list(zip(*rows))
     dcols = [by_candidate[j] for j in pool]
     width = len(pool)
-    # d_q(i, C') of a summed deviation; min is the common q = 1 case
-    qth_smallest = min if q == 1 else lambda ds: sorted(ds)[q - 1]
+    # d_q(i, C') of a summed deviation
+    qth_smallest = _qth_smallest(q)
 
     def hit_masks(columns, incumbent):
         """Keep in each pool column the (i, r_ij) with j in G_i, and return

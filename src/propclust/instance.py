@@ -1,4 +1,4 @@
-"""Problem instances, outcomes, and exact quota arithmetic.
+"""Problem instances, outcomes, and quotas by integer ceiling division.
 
 An instance is a set of agents and a set of candidates (both lists of point
 ids into one metric space, agents possibly repeated) together with a target
@@ -14,29 +14,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
-from .metric import MetricSpace, _as_id
+from .metric import MetricSpace, _as_gamma, _as_id
 
 
 def quota(n, k, ell=1, gamma=1):
     """Smallest integer >= gamma * ell * n / k, computed exactly.
 
     This is the minimum size of a group entitled to ``ell`` centers, scaled
-    by ``gamma``.  All arguments are integers except ``gamma``, which may be
-    any rational (int, Fraction, or a float with an exact binary value such
-    as 1.5).
+    by ``gamma``.  All arguments are integers except ``gamma``, which may
+    be an int, a Fraction or a finite float (each float is an exact binary
+    rational, 1.1 included).  With gamma = p/q in lowest terms the quota is
+    the integer ceiling division of p * ell * n by q * k; an int gamma is
+    its own p, and any other is split once with ``as_integer_ratio()``.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     if n < 0 or ell < 0:
         raise ValueError("n and ell must be non-negative")
-    g = Fraction(gamma)
-    if g < 1:
-        raise ValueError("gamma must be at least 1")
-    return math.ceil(g * ell * n / Fraction(k))
+    p, q = _as_gamma(gamma)
+    return -(-(p * ell * n) // (q * k))
 
 
 @dataclass(frozen=True)

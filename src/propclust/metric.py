@@ -36,6 +36,22 @@ def _as_id(value, what):
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_gamma(value):
+    """``value`` as the exact ratio ``(p, q)`` of ints, q > 0, of a quota
+    scale gamma >= 1: an int, a Fraction or a finite float.  Anything else,
+    bools, strings, inf and nan included, raises ValueError naming gamma
+    rather than being coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        p, q = value, 1
+    elif isinstance(value, Fraction) or isinstance(value, float) and math.isfinite(value):
+        p, q = value.as_integer_ratio()
+    else:
+        raise ValueError(f"gamma must be an int, a Fraction or a finite float, got {value!r}")
+    if p < q:
+        raise ValueError("gamma must be at least 1")
+    return p, q
+
+
 def _as_coord(value):
     """``value`` as a float; strings and bools raise ValueError."""
     if isinstance(value, Real) and not isinstance(value, bool):

@@ -3,8 +3,11 @@
 Every function here is a direct enumeration of the corresponding fairness
 definition: all agent subsets, all candidate subsets, all entitlement
 levels, all realized thresholds.  Nothing is shared with the fast auditors
-except the metric space and the quota helper, so agreement between the two
-is meaningful evidence of correctness rather than a tautology.
+except the metric space, so agreement between the two is meaningful
+evidence of correctness rather than a tautology.  In particular the oracle
+imports no ``quota``: it compares each group's size with the rational
+``Fraction(ell * n, k)`` (times gamma) itself, so the oracle-equivalence
+tests check the fast auditors' integer quotas too.
 
 Deliberately slow; guarded to at most 10 agents and 10 candidates.
 """

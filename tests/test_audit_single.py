@@ -1,8 +1,10 @@
+import heapq
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from propclust import (
     Instance,
@@ -14,10 +16,58 @@ from propclust import (
     tc_min_alpha,
 )
 from propclust import fixtures
-from propclust.audit_single import group_min_ratio, group_sum_ratio, max_sum_ratio, ratio
+from propclust.audit_single import (
+    _qth_smallest,
+    group_min_ratio,
+    group_sum_ratio,
+    max_sum_ratio,
+    ratio,
+)
 from propclust.fixtures import outcome_of
 from propclust.generate import random_instance
 from propclust import oracle as orc
+
+
+# few distinct values, so ties between an int and an equal Fraction are common
+_EXACT_VALUES = st.one_of(
+    st.integers(0, 4),
+    st.builds(Fraction, st.integers(0, 8), st.sampled_from([1, 2])),
+)
+
+
+def _assert_same_as_heapq(values, q):
+    expected = heapq.nsmallest(q, values)[-1]
+    assert _qth_smallest(q)(values) is expected
+    assert _qth_smallest(q)(tuple(values)) is expected
+
+
+@given(st.lists(_EXACT_VALUES, min_size=1, max_size=12), st.integers(1, 14))
+@settings(max_examples=400, deadline=None)
+def test_qth_smallest_is_heapq_object_on_exact_ties(values, q):
+    _assert_same_as_heapq(values, q)
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.5, math.inf]), st.floats(allow_nan=False)),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(1, 14),
+)
+@settings(max_examples=400, deadline=None)
+def test_qth_smallest_is_heapq_object_on_floats(values, q):
+    _assert_same_as_heapq(values, q)
+
+
+def test_qth_smallest_ties_go_to_the_earlier_object():
+    one, half = Fraction(1), Fraction(1, 2)
+    assert _qth_smallest(1)([1, one, half]) is half
+    assert type(_qth_smallest(2)([1, one, half])) is int
+    assert type(_qth_smallest(3)([one, 1, 0])) is int
+    assert type(_qth_smallest(2)([one, 1, 0])) is Fraction
+    # fewer than q values: the largest, the last of its ties
+    assert type(_qth_smallest(5)([one, 1])) is int
 
 
 def test_ratio_conventions():

@@ -3,9 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from propclust import Instance, MetricSpace, Outcome, quota, validate
+from propclust import Instance, MetricSpace, Outcome, q_tc_min_alpha, quota, tc_min_alpha, validate
 from propclust import fixtures
 from propclust.cli import NUMERIC_NOTIONS, RANK_NOTIONS, parse_instance, run_audit
 from propclust.fixtures import outcome_of
@@ -26,19 +26,52 @@ def test_quota_exact_halves():
 
 
 def test_quota_errors():
-    with pytest.raises(ValueError):
-        quota(10, 0, 1, 1)
-    with pytest.raises(ValueError):
-        quota(10, 2, 1, Fraction(1, 2))
+    for args, message in (
+        ((10, 0, 1, 1), "k must be positive"),
+        ((10, -1, 1, 1), "k must be positive"),
+        ((-1, 2, 1, 1), "n and ell must be non-negative"),
+        ((10, 2, -1, 1), "n and ell must be non-negative"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            quota(*args)
+    # the integer test p < q rejects exactly what Fraction(gamma) < 1 did
+    for gamma in (Fraction(1, 2), Fraction(99, 100), 0.9999999999999999, 0, -2, -1.5):
+        assert Fraction(gamma) < 1
+        with pytest.raises(ValueError, match="gamma must be at least 1"):
+            quota(10, 2, 1, gamma)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, "3/2", "2", True, False, None, 1j])
+def test_non_rational_gamma_rejected(gamma):
+    # never OverflowError or a coerced value: a ValueError that names gamma
+    inst = parse_instance(generate_family("graph", 6, 2, 1))
+    out = Outcome({0, 1})
+    for call in (
+        lambda: quota(6, 2, 1, gamma),
+        lambda: tc_min_alpha(inst, out, gamma),
+        lambda: q_tc_min_alpha(inst, out, 1, gamma),
+    ):
+        with pytest.raises(ValueError, match="gamma must be an int, a Fraction or a finite float"):
+            call()
 
 
 @given(
     st.integers(0, 200),
     st.integers(1, 20),
     st.integers(0, 6),
-    st.fractions(min_value=1, max_value=8),
+    st.one_of(
+        st.fractions(min_value=1, max_value=8),
+        st.floats(min_value=1, max_value=8),
+        st.integers(1, 8),
+    ),
 )
-@settings(max_examples=200, deadline=None)
+@example(10, 1, 1, 1.1)
+@example(10, 4, 1, 1.0)
+@example(4, 4, 1, 1.0000000000000002)
+@example(10, 11, 1, 1.1)
+@example(100, 1, 1, 1.1)
+@example(200, 3, 6, 7.3)
+@settings(max_examples=300, deadline=None)
 def test_quota_matches_rational_oracle(n, k, ell, gamma):
     assert quota(n, k, ell, gamma) == math.ceil(Fraction(gamma) * ell * n / k)
 
