@@ -83,6 +83,6 @@ def _q_report(instance, outcome, notion, params, gamma):
     status = _subset_status(instance, size_cap, gamma)
     if best is None:
         return AuditReport(notion, params, 1, None, status)
-    value, cands, group, size = best
-    witness = Witness(agents=group, candidates=cands, ell=size)
+    value, cands, group = best
+    witness = Witness(agents=group, candidates=cands, ell=len(cands))
     return AuditReport(notion, params, value, witness, status)

@@ -31,7 +31,9 @@ rank-pjr+: the ell = 1 cover set is the agents approving no center, and a
 center's approvers are never among them.
 
 Every search is exact: a violating group always induces a (target, cover
-set) pair, and any pair found certifies a violation.  The rank-jr and
+set) pair, and any pair found certifies a violation.  Each search is
+``search(masks, ell, m, umask, left, memo, entered) -> (hit, nodes
+charged)``, and only the scan subtracts from the budget.  The rank-jr and
 rank-pjr+ search reads at most |C| columns per cover set and is never
 charged, so their verdicts are always exact; the others charge one node
 per ell-set or clique node, replayed searches and subtrees included, and a
@@ -42,28 +44,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice
 
 from .instance import _approvals, _bits, _checked_centers, _growing_masks, _proximity, quota
+from .metric import _as_id
 from .reports import CAP_EXHAUSTED, EXACT, PASS, VIOLATION, AuditReport, RankViolation
 
 
 @dataclass(frozen=True)
 class Caps:
-    """Budget on enumerated search nodes across one audit call.
+    """Budget on enumerated search nodes across one audit call: an int of
+    at least 0, anything else (bools included) a ValueError.
 
     It bounds only the exponential searches: the ell-sets of rank-pjr and
-    dprf and the clique nodes of uprf.  The nodes charged are those of the
-    plain, unreplayed search: a replayed search or clique subtree charges
-    the nodes it charged when it ran.  Cover-set upkeep (up to 2^|W| cover
-    sets per threshold) is never charged.
+    dprf and the clique nodes of uprf.  ``search(masks, ell, m, umask,
+    left, memo, entered) -> (hit, nodes charged)`` returns what it charged
+    and only ``_threshold_scan`` subtracts from the budget.  The nodes
+    charged are those of the plain, unreplayed search: a replayed search
+    or clique subtree charges the nodes it charged when it ran.  Cover-set
+    upkeep (up to 2^|W| cover sets per threshold) is never charged.
     """
 
     node_budget: int = 1_000_000
 
-
-class _BudgetExceeded(Exception):
-    pass
+    def __post_init__(self):
+        object.__setattr__(self, "node_budget", _as_id(self.node_budget, "node_budget"))
+        if self.node_budget < 0:
+            raise ValueError(f"node_budget must be at least 0, got {self.node_budget}")
 
 
 def thresholds(instance):
@@ -84,24 +91,26 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     agents: it is updated only where an agent entered a center's ball, and
     a cover set is dropped for good once it holds fewer than its quota m.
 
-    ``search(masks, ell, m, umask, budget, memo, entered)`` gets the
-    sweep's ``width`` masks at the threshold, the cover set's ell, quota m
-    and agent mask, the one-element node budget it may charge, the cover
-    set's own dict ``memo`` and the threshold's ``entered`` bits.  It
-    returns (group, witness candidates), the group as a bit mask of at
-    least m agents inside umask, or None.  A search must read the masks
-    only inside umask (``mask & umask``, or the masks of agents in umask),
-    so it returns the same and charges the same while neither its umask
-    nor those bits change.  The scan therefore replays a failed search
-    whose umask is unchanged and whose sweep added no bit inside that
-    umask: it charges the nodes the search charged last time, and runs out
-    where the search would have.  So between two searches of a cover set,
-    only the later threshold's ``entered`` can have added bits inside the
-    earlier one's umask.  The uprf search relies on this to keep its
-    failed subtrees in ``memo`` across thresholds; the other searches
-    ignore ``memo`` and ``entered``.  The masks change in place at the
-    next threshold, and the scan builds the report, covered winners
-    included, before that.
+    ``search(masks, ell, m, umask, left, memo, entered) -> (hit, nodes
+    charged)`` gets the sweep's ``width`` masks at the threshold, the cover
+    set's ell, quota m and agent mask, ``left``, the nodes still available,
+    the cover set's own dict ``memo`` and the threshold's ``entered`` bits.
+    Its hit is (group, witness candidates), the group as a bit mask of at
+    least m agents inside umask, or None; it may stop once it has charged
+    more than ``left``.  Only this scan subtracts from the budget, and it
+    reports ``cap_exhausted`` once that leaves less than 0, whatever the
+    hit.  A search must read the masks only inside umask (``mask & umask``,
+    or the masks of agents in umask), so it returns the same and charges
+    the same while neither its umask nor those bits change.  The scan
+    therefore replays a failed search whose umask is unchanged and whose
+    sweep added no bit inside that umask: it charges the nodes the search
+    charged last time, and runs out where the search would have.  So
+    between two searches of a cover set, only the later threshold's
+    ``entered`` can have added bits inside the earlier one's umask.  The
+    uprf search relies on this to keep its failed subtrees in ``memo``
+    across thresholds; the other searches ignore ``memo`` and ``entered``.
+    The masks change in place at the next threshold, and the scan builds
+    the report, covered winners included, before that.
     """
     ys, width, pairs = sweep
     n, k = instance.n, instance.k
@@ -115,64 +124,60 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
             outside = tuple(p for p in range(len(centers)) if p not in ysub)
             live.append([ell, m, outside, everyone, None, {}])
     # only the centers' columns: uprf never needs the full agent-candidate table
-    wpairs = [(instance.d_ac(i, c), p, i) for i in range(n) for p, c in enumerate(centers)]
+    rows = instance.dist_rows
+    wpairs = [(rows[i][c], p, i) for i in range(n) for p, c in enumerate(centers)]
     grown = zip(ys, _growing_masks(width, pairs, ys), _growing_masks(len(centers), wpairs, ys))
-    budget = [caps.node_budget]
-    try:
-        for y, (masks, entered, _), (balls, covered, _) in grown:
-            if covered:
-                kept = []
-                for cover in live:
-                    umask = cover[3]
-                    if umask & covered:
-                        for p in cover[2]:
-                            umask &= ~balls[p]
-                        if umask.bit_count() < cover[1]:
-                            continue
-                        if umask != cover[3]:
-                            cover[3] = umask
-                            cover[4] = None
-                    kept.append(cover)
-                live = kept
-                if not live:
-                    break
+    left = caps.node_budget
+    for y, (masks, entered, _), (balls, covered, _) in grown:
+        if covered:
+            kept = []
             for cover in live:
-                ell, m, _, umask, spent, memo = cover
-                if spent is not None and not entered & umask:
-                    budget[0] -= spent
-                    if budget[0] < 0:
-                        raise _BudgetExceeded
-                    continue
-                before = budget[0]
-                hit = search(masks, ell, m, umask, budget, memo, entered)
-                if hit is None:
-                    cover[4] = before - budget[0]
-                    continue
-                group, cands = hit
-                winners = tuple(c for c, ball in zip(centers, balls) if ball & group)
-                violation = RankViolation(notion, y, ell, tuple(_bits(group)), cands, winners)
-                return AuditReport(notion, {}, VIOLATION, violation, EXACT)
-    except _BudgetExceeded:
-        return AuditReport(notion, {}, PASS, None, CAP_EXHAUSTED)
+                umask = cover[3]
+                if umask & covered:
+                    for p in cover[2]:
+                        umask &= ~balls[p]
+                    if umask.bit_count() < cover[1]:
+                        continue
+                    if umask != cover[3]:
+                        cover[3] = umask
+                        cover[4] = None
+                kept.append(cover)
+            live = kept
+            if not live:
+                break
+        for cover in live:
+            ell, m, _, umask, spent, memo = cover
+            hit = None
+            if spent is None or entered & umask:
+                hit, spent = search(masks, ell, m, umask, left, memo, entered)
+            left -= spent
+            if left < 0:
+                return AuditReport(notion, {}, PASS, None, CAP_EXHAUSTED)
+            if hit is None:
+                cover[4] = spent
+                continue
+            group, cands = hit
+            winners = tuple(c for c, ball in zip(centers, balls) if ball & group)
+            violation = RankViolation(notion, y, ell, tuple(_bits(group)), cands, winners)
+            return AuditReport(notion, {}, VIOLATION, violation, EXACT)
     return AuditReport(notion, {}, PASS, None, EXACT)
 
 
-def _ell_sets(cols, ell, m, umask, budget, *_):
+def _ell_sets(cols, ell, m, umask, left, *_):
     """rank-pjr and dprf: the first ell candidates, among those with m
-    approvers in the cover set, that m of its agents all approve."""
+    approvers in the cover set, that m of its agents all approve; it tries
+    at most left + 1 ell-sets, the last only to run the budget out."""
     frequent = [j for j, col in enumerate(cols) if (col & umask).bit_count() >= m]
-    for tsub in combinations(frequent, ell):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _BudgetExceeded
+    charged = 0
+    for charged, tsub in enumerate(islice(combinations(frequent, ell), left + 1), 1):
         inter = umask
         for j in tsub:
             inter &= cols[j]
             if inter.bit_count() < m:
                 break
         if inter.bit_count() >= m:
-            return inter, tsub
-    return None
+            return (inter, tsub), charged
+    return None, charged
 
 
 def _unopened(unopened, cols, ell, m, umask, *_):
@@ -180,78 +185,72 @@ def _unopened(unopened, cols, ell, m, umask, *_):
     in the cover set.  At most |C| columns per cover set, so never charged."""
     for j in unopened:
         if (cols[j] & umask).bit_count() >= m:
-            return cols[j] & umask, (j,)
-    return None
+            return (cols[j] & umask, (j,)), 0
+    return None, 0
 
 
-def _clique_at_least(adj, ell, m, umask, budget, memo, entered):
+def _clique_at_least(adj, ell, m, umask, left, memo, entered):
     """uprf: the first clique of m agents in the cover set.  Agents join in
     index order, so the clique found is the first one in that order.
 
     A depth-first branch and bound on an explicit stack (a clique of a
     thousand agents nests a thousand deep), charging one node per node
-    entered.  A node's subtree depends only on ``need``, the agents it
-    still needs, on ``avail``, the agents it may add, and on the edges
-    inside ``avail``, and edges are only ever added.  So a failed subtree
-    of more than 3 nodes is stored as ``(need, avail): nodes charged``, and
-    a node whose key is stored is not entered: its nodes are charged, and
-    a budget runs out where the subtree would have run it out.  Keys this
-    search stored are reused as they are.  ``memo`` holds the keys the
-    cover set's latest search looked up or stored; one is reused while
-    fewer than two bits of ``entered`` lie in its ``avail``, since a new
-    edge inside it would set both of its ends.  A failed search leaves its
-    own keys in ``memo``.  Found subtrees are never stored and the
-    branching order is the plain search's, so the clique found and the
-    node where a budget runs out are the plain search's too.
+    entered and stopping once it has charged more than ``left``.  A node's
+    subtree depends only on ``need``, the agents it still needs, on
+    ``avail``, the agents it may add, and on the edges inside ``avail``,
+    and edges are only ever added.  So a failed subtree of more than 3
+    nodes is stored as ``(need, avail): nodes charged``, and a node whose
+    key is stored is not entered: its nodes are charged, and a budget runs
+    out where the subtree would have run it out.  Keys this search stored
+    are reused as they are.  ``memo`` holds the keys the cover set's latest
+    search looked up or stored; one is reused while fewer than two bits of
+    ``entered`` lie in its ``avail``, since a new edge inside it would set
+    both of its ends.  A failed search leaves its own keys in ``memo``.
+    Found subtrees are never stored and the branching order is the plain
+    search's, so the clique found and the node where a budget runs out are
+    the plain search's too.
     """
-    left = budget[0]
+    charged = 0
     fresh = {}
-    stack = []  # the suspended ancestors: (chosen, need, avail, count, key, left on entry)
+    stack = []  # the suspended ancestors: (chosen, need, avail, count, key, charged on entry)
     chosen, need, avail, count = 0, m, umask, umask.bit_count()
-    try:
+    while True:
+        # enter a node: replay its stored subtree, or charge it
+        key = (need, avail)
+        spent = fresh.get(key)
+        if spent is None and key in memo and (avail & entered).bit_count() < 2:
+            spent = memo[key]
+        start = charged
+        charged += 1 if spent is None else spent
+        if charged > left:
+            return None, charged
+        if spent is not None:
+            avail = 0
+        elif need <= 0:
+            return (chosen, ()), charged
+        # branch from the innermost open node, backing up past the
+        # nodes with no agent left to add
         while True:
-            # enter a node: replay its stored subtree, or charge it
-            key = (need, avail)
-            spent = fresh.get(key)
-            if spent is None and key in memo and (avail & entered).bit_count() < 2:
-                spent = memo[key]
-            start = left
-            if spent is None:
-                left -= 1
-                if left < 0:
-                    raise _BudgetExceeded
-                if need <= 0:
-                    return chosen, ()
+            while avail and count >= need:
+                low = avail & -avail
+                avail ^= low
+                count -= 1
+                nbrs = avail & adj[low.bit_length() - 1]
+                grow = nbrs.bit_count()
+                if grow >= need - 1:
+                    break
             else:
-                left -= spent
-                if left < 0:
-                    raise _BudgetExceeded
-                avail = 0
-            # branch from the innermost open node, backing up past the
-            # nodes with no agent left to add
-            while True:
-                while avail and count >= need:
-                    low = avail & -avail
-                    avail ^= low
-                    count -= 1
-                    nbrs = avail & adj[low.bit_length() - 1]
-                    grow = nbrs.bit_count()
-                    if grow >= need - 1:
-                        break
-                else:
-                    if start - left > 3:
-                        fresh[key] = start - left
-                    if not stack:
-                        memo.clear()
-                        memo.update(fresh)
-                        return None
-                    chosen, need, avail, count, key, start = stack.pop()
-                    continue
-                stack.append((chosen, need, avail, count, key, start))
-                chosen, need, avail, count = chosen | low, need - 1, nbrs, grow
-                break
-    finally:
-        budget[0] = left
+                if charged - start > 3:
+                    fresh[key] = charged - start
+                if not stack:
+                    memo.clear()
+                    memo.update(fresh)
+                    return None, charged
+                chosen, need, avail, count, key, start = stack.pop()
+                continue
+            stack.append((chosen, need, avail, count, key, start))
+            chosen, need, avail, count = chosen | low, need - 1, nbrs, grow
+            break
 
 
 def _unopened_scan(instance, outcome, notion, max_ell):

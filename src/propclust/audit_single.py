@@ -176,7 +176,7 @@ def _single_center(instance, outcome, notion, params, gamma):
     best = deviation_scan(instance, outcome, pool, 1, 1, gamma, summed=notion == "tc")
     if best is None:
         return AuditReport(notion, params, 1, None, EXACT)
-    value, cands, group, _ = best
+    value, cands, group = best
     return AuditReport(notion, params, value, Witness(agents=group, candidates=cands), EXACT)
 
 
@@ -188,8 +188,8 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     at its q-th closest point of W and of C'.  With m = quota(n, k, |C'|,
     gamma), a deviation is valued at the m-th largest agent ratio (pf,
     q-core), or, when ``summed``, at the best summed ratio of
-    ``max_sum_ratio`` (tc, q-tc).  Returns (value, C', group, |C'|) with C'
-    as candidate indices, or None when no deviation is worth 1.
+    ``max_sum_ratio`` (tc, q-tc).  Returns (value, C', group) with C' as
+    candidate indices, or None when no deviation is worth 1.
 
     The first subset in size-then-lexicographic order worth 1 or more
     becomes the incumbent b, and only a strictly larger value replaces it,
@@ -261,7 +261,7 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
                 terms = [sorted(rs, reverse=True)[q - 1] if len(rs) >= q else 0 for rs in kept]
                 value, group = top_group(terms, m)
             if group is not None and (value >= 1 if best is None else value > incumbent):
-                best = (value, csub, group, size)
+                best = (value, csub, group)
                 if not unfiltered:
                     columns, hits, reach = hit_masks(columns, value)
                 elif value == math.inf:
@@ -270,11 +270,11 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
                     break
     if best is None:
         return None
-    value, csub, group, size = best
+    value, csub, group = best
     cands = tuple(pool[j] for j in csub)
     if summed and not instance.space.exact:
         value = q_group_sum_ratio(instance, outcome, q, group, cands)
-    return value, cands, group, size
+    return value, cands, group
 
 
 def _reach(hits, cands, q):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from propclust import (
     Caps,
     Instance,
@@ -274,15 +276,15 @@ def test_uprf_budget_runs_out_where_it_did():
         assert (report.witness.threshold_y, report.witness.covered_winners) == (y, winners)
 
 
-def _plain_clique_at_least(adj, ell, m, umask, budget, *_):
+def _plain_clique_at_least(adj, ell, m, umask, left, *_):
     """The uprf search without subtree replay, kept as it was."""
-    left = budget[0]
+    charged = 0
 
     def rec(chosen, size, avail, count):
-        nonlocal left
-        left -= 1
-        if left < 0:
-            raise audit_rank._BudgetExceeded
+        nonlocal charged
+        charged += 1
+        if charged > left:
+            return None
         if size >= m:
             return chosen
         while avail:
@@ -295,25 +297,23 @@ def _plain_clique_at_least(adj, ell, m, umask, budget, *_):
             grow = nbrs.bit_count()
             if size + 1 + grow >= m:
                 found = rec(chosen | low, size + 1, nbrs, grow)
-                if found is not None:
+                if found is not None or charged > left:
                     return found
         return None
 
-    try:
-        group = rec(0, 0, umask, umask.bit_count())
-    finally:
-        budget[0] = left
-    return None if group is None else (group, ())
+    group = rec(0, 0, umask, umask.bit_count())
+    return (None if group is None else (group, ())), charged
 
 
 def test_uprf_matches_the_plain_clique_search():
     # same reports as the plain search at no budget, one node, half the
-    # nodes the plain search charges, one node short of them, and all
-    cell = []
+    # nodes the plain scan charges, one node short of them, and all
+    calls = []
 
-    def plain(adj, ell, m, umask, budget, *_):
-        cell[:] = [budget]
-        return _plain_clique_at_least(adj, ell, m, umask, budget)
+    def plain(adj, ell, m, umask, left, *_):
+        hit, charged = _plain_clique_at_least(adj, ell, m, umask, left)
+        calls.append(left - charged)
+        return hit, charged
 
     def plain_uprf(inst, W, budget):
         sweep = audit_rank._proximity(inst)
@@ -328,9 +328,25 @@ def test_uprf_matches_the_plain_clique_search():
             rng = random.Random(seed)
             drawn = Outcome(frozenset(rng.sample(range(inst.num_candidates), 2)))
             for W in (greedy_capture(inst)[0], drawn):
-                cell.clear()
-                plain_uprf(inst, W, 10**6)
-                used = 10**6 - cell[0][0] if cell else 0
+                calls.clear()
+                # the last search finds the violation, so what it leaves is
+                # what the scan leaves: replayed searches between the
+                # searches come off the ``left`` each search is handed
+                assert plain_uprf(inst, W, 10**6).value == "violation"
+                used = 10**6 - calls[-1]
                 for budget in sorted({0, 1, used // 2, max(used - 1, 0), used}):
                     expected = plain_uprf(inst, W, budget).to_json_str()
                     assert uprf_check(inst, W, Caps(budget)).to_json_str() == expected
+
+
+@pytest.mark.parametrize("budget", [-1, -10**6, 1.5, 2.0, True, False, "10", None])
+def test_caps_rejects_a_budget_that_is_not_an_int_of_at_least_0(budget):
+    with pytest.raises(ValueError, match="node_budget"):
+        Caps(budget)
+
+
+def test_caps_accepts_int_budgets():
+    assert Caps().node_budget == 1_000_000
+    assert Caps(0).node_budget == 0
+    assert Caps(node_budget=7).node_budget == 7
+

@@ -12,6 +12,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from propclust import (
     algorithms,
     audit_rank,
@@ -20,7 +22,7 @@ from propclust import (
     q_tc_min_alpha,
     tc_min_alpha,
 )
-from propclust.cli import NUMERIC_NOTIONS, RANK_NOTIONS, run_audit
+from propclust.cli import NUMERIC_NOTIONS, RANK_NOTIONS, main, run_audit
 from propclust.instance import Outcome
 
 RECORDED_DIGEST = "88afe9a0f36958cf47847b5a43e4ebe6d6d4990221d4675f9874a38403eed392"
@@ -192,3 +194,19 @@ def pf_tc_outputs(corpus):
 def test_small_corpus_pf_tc_byte_identical(small_corpus):
     text = json.dumps(pf_tc_outputs(small_corpus), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_PF_TC_DIGEST
+
+
+# Recorded from `propclust repro --case all` before the rank scan became the
+# only code that charges the node budget.  The paper cases must replay to
+# the same bytes in both output formats.
+RECORDED_REPRO_DIGESTS = {
+    "json": "68a1fa80adbfd6684ad4e5bb7fa69d47d5a72fd00cd2807329da914f5031caf0",
+    "csv": "9ae330c4081d7e67122ac05931492fdf06ab9749b8b8ea823bf474cdcb198d6e",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(RECORDED_REPRO_DIGESTS))
+def test_repro_all_byte_identical(fmt, capsys):
+    assert main(["repro", "--case", "all", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RECORDED_REPRO_DIGESTS[fmt]
