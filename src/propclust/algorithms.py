@@ -19,7 +19,8 @@ give bit-identical outcomes and traces.
   uniformly at random, and the committee is topped up with uniformly random
   unselected agents at the end.
 
-All three walk a threshold sweep in ``instance`` (d is within delta when
+All three walk a threshold sweep that the instance sorted once,
+``approval_sweep`` or ``proximity_sweep`` (d is within delta when
 ``d <= delta``).  A ball's count of uncaptured agents, or sum of budgets,
 only falls while the ball does not grow, so the rules re-check only grown
 balls, in one ascending pass: a ball that fails stays failed at that
@@ -30,10 +31,10 @@ mixing ``0`` and ``0.0`` traces the value stored.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import Instance, Outcome, _approvals, _bits, _growing_masks, _proximity, quota
+from .instance import Instance, Outcome, _bits, _growing_masks, quota
 from .reports import encode_value
 
 
@@ -89,11 +90,10 @@ def greedy_capture(instance):
     n, k = instance.n, instance.k
     m = quota(n, k, 1, 1)
     table = instance.dist_rows
-    levels, width, pairs = _approvals(instance)
     remaining = (1 << n) - 1
     opened = []
     events = []
-    for balls, _, grew in _growing_masks(width, pairs, levels):
+    for balls, _, grew in _growing_masks(instance.approval_sweep):
         for j in _bits(grew):
             if len(opened) == k or remaining.bit_count() < m:
                 break
@@ -152,12 +152,12 @@ def expanding_approvals(instance, deduct_order=None):
         deduct_order = closest_first_order
     n, k = instance.n, instance.k
     table = instance.dist_rows
-    levels, width, pairs = _approvals(instance)
+    sweep = instance.approval_sweep
     budgets = [k] * n  # in units of 1/n: an opening costs n
     funded = n  # agents with a positive budget
     opened = []
     events = []
-    for delta, (balls, _, grew) in zip(levels, _growing_masks(width, pairs, levels)):
+    for delta, (balls, _, grew) in zip(sweep.ys, _growing_masks(sweep)):
         if len(opened) == k:
             break
         for j in _bits(grew):
@@ -213,12 +213,11 @@ def fair_greedy_capture(instance, q, seed):
     cand_at_point = {}
     for idx, c in enumerate(instance.candidates):
         cand_at_point.setdefault(c, idx)
-    ys, width, pairs = _proximity(instance)
     remaining = (1 << n) - 1
     selected = []
     events = []
     last_delta = 0
-    for balls, _, grew in _growing_masks(width, pairs, ys):
+    for balls, _, grew in _growing_masks(instance.proximity_sweep):
         for p in _bits(grew):
             # p may survive its own capture, so it is checked again
             while remaining >> p & 1 and (balls[p] & remaining).bit_count() >= m:
@@ -293,7 +292,16 @@ def restricted_solve(instance, rule):
     centers = frozenset(remap[j] for j in out.centers)
     # remap.get keeps a missing candidate or center as None
     events = tuple(
-        replace(e, candidate=remap.get(e.candidate), center=remap.get(e.center))
+        TraceEvent(
+            e.delta,
+            e.kind,
+            remap.get(e.candidate),
+            e.agent,
+            remap.get(e.center),
+            e.amount,
+            e.captured,
+            e.remaining,
+        )
         for e in trace.events
     )
     outcome = Outcome(centers, origin=f"{rule}-restricted")

@@ -6,15 +6,21 @@ treat every large-and-cohesive group proportionally.  Approval sets change
 only at realized agent-candidate distances, so auditing the finite sorted
 threshold list is equivalent to auditing all real y.
 
-All five axioms run through one incremental scan.  The (distance, row,
-bit) pairs are sorted once and OR-ed into the approval or adjacency masks
-and into the centers' balls as the threshold grows.  The sweep is
-``instance._growing_masks``, which the clustering rules read too: an agent
-approves a candidate at threshold y when their distance d has ``d <= y``.
+All five axioms run through one incremental scan.  Each instance sorts
+its (distance, row, bit) pairs once, in ``Instance.approval_sweep`` and
+``Instance.proximity_sweep``, and every call replays that order through
+``instance._growing_masks``, which the clustering rules read too, OR-ing
+the pairs into the approval or adjacency masks and into the centers'
+balls as the threshold grows: an agent approves a candidate at threshold
+y when their distance d has ``d <= y``.  A center's ball is its approval
+mask, so no call sorts: the approval scans read the balls off their own
+walk, and uprf walks the approval sweep beside its own.
 
 At each threshold the scan walks every cover set: for ell and a set Y of
 ell - 1 centers, the agents approving no center outside Y, who together
-approve fewer than ell centers.  The cover sets live across thresholds:
+approve fewer than ell centers.  The instance builds their templates once
+per center count (``Instance.cover_sets``); each call keeps its own agent
+masks and memos.  The cover sets live across thresholds:
 a cover set changes only where an agent of it enters a ball of a center
 outside Y, and one that falls below its quota is dropped for good.  A
 failed search whose cover set and masks inside it are unchanged is not
@@ -44,9 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice
+from itertools import combinations, islice, tee
 
-from .instance import _approvals, _bits, _checked_centers, _growing_masks, _proximity, quota
+from .instance import _bits, _checked_centers, _growing_masks
 from .metric import _as_id
 from .reports import CAP_EXHAUSTED, EXACT, PASS, VIOLATION, AuditReport, RankViolation
 
@@ -79,15 +85,36 @@ def thresholds(instance):
     return list(instance.levels)
 
 
+def _center_balls(centers, approvals):
+    """Yield ``(balls, covered)`` at each step of ``approvals``, a walk of
+    the approval sweep: ``balls[p]``, the ball of ``centers[p]``, which is
+    its approval mask, and ``covered``, the agents that entered one of
+    those balls at that step.  Only the balls of centers in the walk's
+    ``grew`` are read again."""
+    balls = [0] * len(centers)
+    wmask = 0
+    for c in centers:
+        wmask |= 1 << c
+    for masks, _, grew in approvals:
+        covered = 0
+        if grew & wmask:
+            for p, c in enumerate(centers):
+                if grew >> c & 1:
+                    covered |= masks[c] ^ balls[p]
+                    balls[p] = masks[c]
+        yield balls, covered
+
+
 def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     """Search every cover set for ell = 1 .. ``max_ell`` at every threshold
-    of ``sweep = (ys, width, pairs)`` until ``search`` finds a violation.
+    of the instance's ``sweep`` until ``search`` finds a violation.
 
     A cover set is an (ell, m, Y) for a set Y of min(ell - 1, |W|) center
     positions, in combinations order within each ell: its umask holds the
     agents in no ball of a center outside Y, so any group inside it
-    approves fewer than ell centers.  The cover sets are built once and
-    kept live across thresholds.  Balls only grow, so a umask only loses
+    approves fewer than ell centers.  Their templates come from
+    ``instance.cover_sets``; each call makes its own live copies and
+    keeps them across thresholds.  Balls only grow, so a umask only loses
     agents: it is updated only where an agent entered a center's ball, and
     a cover set is dropped for good once it holds fewer than its quota m.
 
@@ -112,23 +139,24 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     The masks change in place at the next threshold, and the scan builds
     the report, covered winners included, before that.
     """
-    ys, width, pairs = sweep
-    n, k = instance.n, instance.k
     centers = _checked_centers(instance, outcome)
-    everyone = (1 << n) - 1
+    everyone = (1 << instance.n) - 1
     # [ell, m, positions outside Y, umask, nodes of the last failed search, memo]
-    live = []
-    for ell in range(1, max_ell + 1):
-        m = quota(n, k, ell, 1)
-        for ysub in combinations(range(len(centers)), min(ell - 1, len(centers))):
-            outside = tuple(p for p in range(len(centers)) if p not in ysub)
-            live.append([ell, m, outside, everyone, None, {}])
-    # only the centers' columns: uprf never needs the full agent-candidate table
-    rows = instance.dist_rows
-    wpairs = [(rows[i][c], p, i) for i in range(n) for p, c in enumerate(centers)]
-    grown = zip(ys, _growing_masks(width, pairs, ys), _growing_masks(len(centers), wpairs, ys))
+    live = [
+        [ell, m, outside, everyone, None, {}]
+        for ell, m, outside in instance.cover_sets(len(centers))
+        if ell <= max_ell
+    ]
+    grown = _growing_masks(sweep)
+    # a center's ball is its approval mask, at the same thresholds or not
+    if sweep is instance.approval_sweep:
+        grown, approvals = tee(grown)
+    else:
+        approvals = _growing_masks(instance.approval_sweep, sweep.ys)
     left = caps.node_budget
-    for y, (masks, entered, _), (balls, covered, _) in grown:
+    for y, (masks, entered, _), (balls, covered) in zip(
+        sweep.ys, grown, _center_balls(centers, approvals)
+    ):
         if covered:
             kept = []
             for cover in live:
@@ -256,7 +284,8 @@ def _clique_at_least(adj, ell, m, umask, left, memo, entered):
 def _unopened_scan(instance, outcome, notion, max_ell):
     unopened = [j for j in range(instance.num_candidates) if j not in outcome.centers]
     search = partial(_unopened, unopened)
-    return _threshold_scan(instance, outcome, Caps(), notion, search, _approvals(instance), max_ell)
+    sweep = instance.approval_sweep
+    return _threshold_scan(instance, outcome, Caps(), notion, search, sweep, max_ell)
 
 
 def rank_jr_check(instance, outcome):
@@ -270,7 +299,7 @@ def rank_pjr_check(instance, outcome, caps=Caps()):
     """At every threshold, every ell-large group sharing ell approved
     candidates must collectively approve ell centers."""
     return _threshold_scan(
-        instance, outcome, caps, "rank-pjr", _ell_sets, _approvals(instance), instance.k
+        instance, outcome, caps, "rank-pjr", _ell_sets, instance.approval_sweep, instance.k
     )
 
 
@@ -278,7 +307,7 @@ def dprf_check(instance, outcome, caps=Caps()):
     """Discrete proportionally-representative fairness; same condition as
     the ell-cohesive threshold axiom, reported under its own name."""
     return _threshold_scan(
-        instance, outcome, caps, "dprf", _ell_sets, _approvals(instance), instance.k
+        instance, outcome, caps, "dprf", _ell_sets, instance.approval_sweep, instance.k
     )
 
 
@@ -298,5 +327,5 @@ def uprf_check(instance, outcome, caps=Caps()):
     on the group side.
     """
     return _threshold_scan(
-        instance, outcome, caps, "uprf", _clique_at_least, _proximity(instance), instance.k
+        instance, outcome, caps, "uprf", _clique_at_least, instance.proximity_sweep, instance.k
     )

@@ -10,7 +10,8 @@ pf and tc are the q = 1, single-candidate case of q-core and q-tc, so all
 four run ``deviation_scan``; pf and tc hand it the unopened candidates, the
 q-audits every candidate.  The scan is pruned by its incumbent, the best
 value so far: a bit-mask test on each agent's candidates with ratio above
-the incumbent skips every target that cannot beat it, except in tc.
+the incumbent, decided exactly on the integer table ``int_rows``, skips
+every target that cannot beat it, except in tc.
 
 All audits report a value together with a witness that reproduces it.  The
 summed scans (tc, q-tc) are exact on every space: they read the instance's
@@ -30,9 +31,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import ge, gt
 
-from .instance import _checked_centers, quota
+from .instance import _bits, _checked_centers, quota
 from .metric import _as_gamma
 from .reports import EXACT, AuditReport, Witness
 
@@ -198,15 +198,19 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     no incumbent).  With r_ij = ratio(d_q(i, W), d(i, j)), agent i's ratio
     at C' is the q-th largest r_ij over C', so it exceeds b exactly when C'
     holds q of the candidates G_i = {j : r_ij > b}.  A valued-at-m
-    deviation beats b only if m agents do, which is exact, floats included;
-    its top m agents are then among them, so its value is read from the
-    ratios above b alone.  A summed one beats b only if one agent does, and
-    it is scored only if it passes ``may_beat`` at b.  At q = 1 (tc) a
-    summed scan skips the G_i test, whose ratios cost more than it saves.
+    deviation beats b only if m agents do; its top m agents are then among
+    them, so only those agents are valued, at ratio(d_q(i, W), d_q(i, C'))
+    on the stored distances.  A summed one beats b only if one agent does,
+    and it is scored only if it passes ``may_beat`` at b.  At q = 1 (tc) a
+    summed scan skips the G_i test.
 
-    A summed scan reads ``instance.int_rows``, so every comparison it makes
-    is exact, on float data too.  A float instance then reports the float
-    re-evaluation of the exact witness, ``q_group_sum_ratio``.
+    G_i is decided on the integer table ``instance.int_rows``, by
+    cross-multiplication, so it is exact.  A float b (pf and q-core on
+    float data) then keeps every j whose float ratio exceeds b, and perhaps
+    a few more, and the float comparison with b still decides.  A summed
+    scan reads only ``int_rows``, so every comparison it makes is exact, on
+    float data too.  A float instance then reports the float re-evaluation
+    of the exact witness, ``q_group_sum_ratio``.
     """
     n, k = instance.n, instance.k
     unfiltered = summed and q == 1
@@ -217,27 +221,35 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     by_candidate = list(zip(*rows))
     dcols = [by_candidate[j] for j in pool]
     width = len(pool)
-    # d_q(i, C') of a summed deviation
+    # d_q(i, C')
     qth_smallest = _qth_smallest(q)
 
     def hit_masks(columns, incumbent):
-        """Keep in each pool column the (i, r_ij) with j in G_i, and return
-        them with their agent masks and the number of agents with q
-        candidates in G_i at all.  b only rises, so each call filters
-        the columns the last one kept."""
-        bound, above = (1, ge) if incumbent is None else (incumbent, gt)
-        columns = [[(i, r) for i, r in column if above(r, bound)] for column in columns]
+        """Keep in each pool column the (i, d(i, j)) with j in G_i, and
+        return them with their agent masks and the number of agents with q
+        candidates in G_i at all.  b only rises, so each call filters the
+        columns the last one kept (the first keeps them as built, at 1).
+        r_ij > b = p/r is decided on the integer table, as
+        d_q(i, W) * r > p * d(i, j); no ratio is above an infinite b."""
+        if incumbent == math.inf:
+            columns = [[] for _ in columns]
+        elif incumbent is not None and bounded:
+            p, r = incumbent.as_integer_ratio()
+            columns = [[(i, d) for i, d in column if iW[i] * r > p * d] for column in columns]
         hits = [sum(1 << i for i, _ in column) for column in columns]
         return columns, hits, _reach(hits, range(width), q).bit_count()
 
     best = None
     reach = n
     if not unfiltered:
+        if summed:
+            iW, icols = dqW, dcols
+        else:
+            iW = dists_to_centers(instance, outcome, q, instance.int_rows)
+            by_int = list(zip(*instance.int_rows))
+            icols = [by_int[j] for j in pool]
         # r_ij >= 1 exactly when d_q(i, W) >= d(i, j)
-        columns = [
-            [(i, ratio(w, d)) for i, (w, d) in enumerate(zip(dqW, dcol)) if w >= d]
-            for dcol in dcols
-        ]
+        columns = [[(i, d) for i, (w, d) in enumerate(zip(iW, icol)) if w >= d] for icol in icols]
         columns, hits, reach = hit_masks(columns, None)
     for size in range(q, min(size_cap, width, k) + 1):
         m = quota(n, k, size, gamma)
@@ -245,8 +257,10 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
         if m > n or reach < need:
             break
         for csub in combinations(range(width), size):
-            if not unfiltered and _reach(hits, csub, q).bit_count() < need:
-                continue
+            if not unfiltered:
+                reached = _reach(hits, csub, q)
+                if reached.bit_count() < need:
+                    continue
             incumbent = None if best is None else best[0]
             if summed:
                 pairs = list(zip(dqW, map(qth_smallest, zip(*[dcols[j] for j in csub]))))
@@ -254,11 +268,9 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
                     continue
                 value, group = max_sum_ratio(pairs, m)
             else:
-                kept = [[] for _ in range(n)]
-                for j in csub:
-                    for i, r in columns[j]:
-                        kept[i].append(r)
-                terms = [sorted(rs, reverse=True)[q - 1] if len(rs) >= q else 0 for rs in kept]
+                terms = [0] * n
+                for i in _bits(reached):
+                    terms[i] = ratio(dqW[i], qth_smallest([dcols[j][i] for j in csub]))
                 value, group = top_group(terms, m)
             if group is not None and (value >= 1 if best is None else value > incumbent):
                 best = (value, csub, group)

@@ -5,17 +5,24 @@ ids into one metric space, agents possibly repeated) together with a target
 number of centers ``k``.  An outcome is a set of *candidate indices*, which
 keeps co-located candidates distinguishable.
 
-The threshold sweep that every rule and auditor reads lives here too:
-``_growing_masks`` over the pairs of ``_approvals`` or ``_proximity``,
-counting a distance d as within a threshold y when ``d <= y``.
+The threshold sweep that every rule and auditor reads lives here too.  An
+instance sorts its agent-candidate pairs (``approval_sweep``) and its
+agent-agent pairs (``proximity_sweep``) once, into compact arrays, and
+``_growing_masks`` replays a sorted order on every call, counting a
+distance d as within a threshold y when ``d <= y``.  The rank audits'
+cover-set templates (``cover_sets``) are built once per instance too.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, islice
 from operator import itemgetter
+from typing import NamedTuple
 
 from .metric import MetricSpace, _as_gamma, _as_id
 
@@ -46,12 +53,14 @@ class Instance:
     entries are allowed (co-located voters are distinct agents); candidate
     entries are distinct selectable slots even when co-located.
 
-    Rules and auditors read four lazily built, read-only tables: the
+    Rules and auditors read lazily built, read-only tables: the
     agent-by-candidate distances ``dist_rows`` and their integer scaling
-    ``int_rows``, the agent-by-agent distances ``agent_rows`` and the
-    sorted distinct agent-candidate distances ``levels``.  ``d_ac`` and
-    ``d_aa`` read the metric space directly; the brute-force oracle uses
-    only those, so it stays independent of the tables.
+    ``int_rows``, the agent-by-agent distances ``agent_rows``, the sorted
+    distinct agent-candidate distances ``levels``, the two sorted threshold
+    sweeps ``approval_sweep`` and ``proximity_sweep``, and the rank audits'
+    cover-set templates ``cover_sets(size)``, built once per center count.
+    ``d_ac`` and ``d_aa`` read the metric space directly; the brute-force
+    oracle uses only those, so it stays independent of the tables.
     """
 
     space: MetricSpace
@@ -107,7 +116,8 @@ class Instance:
         table with the same ratios.  Every float is an exact binary
         rational, so the scale is a power of two on float data, and 1 on
         integer data.  The summed deviation audits read it, which keeps
-        tc and q-tc exact on every kind of space."""
+        tc and q-tc exact on every kind of space, and pf and q-core decide
+        their pruning test on it."""
         rows = [[d.as_integer_ratio() for d in row] for row in self.dist_rows]
         scale = math.lcm(*{den for row in rows for _, den in row})
         return tuple(tuple(num * (scale // den) for num, den in row) for row in rows)
@@ -124,6 +134,47 @@ class Instance:
         which any ball around a candidate gains an agent."""
         return tuple(sorted({d for row in self.dist_rows for d in row}))
 
+    @cached_property
+    def approval_sweep(self):
+        """The sweep over the agent-candidate distances: per candidate, a
+        mask of the agents approving it (the agents in its ball), at each
+        threshold of ``levels``."""
+        width = self.num_candidates
+        pairs = [(d, j, i) for i, row in enumerate(self.dist_rows) for j, d in enumerate(row)]
+        return _sweep(self.levels, width, pairs)
+
+    @cached_property
+    def proximity_sweep(self):
+        """The sweep over the agent-agent distances (and 0): per agent, a
+        mask of the agents within the threshold, itself included.  uprf is
+        unaffected: its clique search drops an agent from ``avail`` before
+        reading its adjacency, and self pairs enter at y = 0, where no
+        search is replayed."""
+        rows = self.agent_rows
+        pairs = [(d, i, j) for i, row in enumerate(rows) for j, d in enumerate(row)]
+        # the int 0 comes first, so co-located float points cannot make it 0.0
+        return _sweep(sorted({0} | {d for d, _, _ in pairs}), self.n, pairs)
+
+    def cover_sets(self, size):
+        """The rank audits' cover-set templates for ``size`` centers: for
+        ell = 1 .. k and each set Y of min(ell - 1, size) center positions,
+        in combinations order within each ell, ``(ell, m, outside)`` with
+        the quota m = quota(n, k, ell) and the positions outside Y.  The
+        ell = 1 template comes first and is the only one with ell = 1."""
+        made = self._cover_sets
+        if size not in made:
+            made[size] = tuple(
+                (ell, quota(self.n, self.k, ell), tuple(p for p in range(size) if p not in ysub))
+                for ell in range(1, self.k + 1)
+                for ysub in combinations(range(size), min(ell - 1, size))
+            )
+        return made[size]
+
+    @cached_property
+    def _cover_sets(self):
+        # center count -> templates; at most k + 1 keys
+        return {}
+
     def agents_within_candidates(self):
         """True when every agent sits on some candidate point (N inside C)."""
         cand_points = set(self.candidates)
@@ -134,49 +185,59 @@ class Instance:
         return set(self.agents) == set(self.candidates)
 
 
-def _growing_masks(size, pairs, ys):
-    """Yield ``(masks, entered, grew)`` at each threshold y of the ascending
-    ``ys``: the ``size`` bitmasks, mask ``row`` holding ``bit`` for every
-    pair ``(d, row, bit)`` with ``d <= y``; ``entered``, the OR of
-    ``1 << bit`` over the pairs that came within y at this threshold; and
-    ``grew``, the OR of ``1 << row`` over the rows those pairs went to.
+class Sweep(NamedTuple):
+    """A threshold sweep sorted once: ``width`` masks grow through the
+    ascending thresholds ``ys``.  Pair t of the ascending distance order
+    (ties in the order the pairs were listed) puts bit ``bits[t]`` into
+    mask ``rows[t]``, and the pairs within ``ys[s]`` are the first
+    ``ends[s]``."""
 
-    Every rule and auditor that sweeps thresholds reads its masks here.  The
-    pairs are sorted once and OR-ed in as y grows.  One list is updated in
+    ys: tuple
+    width: int
+    rows: array
+    bits: array
+    ends: array
+
+
+def _sweep(ys, width, pairs):
+    """The ``Sweep`` of the ``(d, row, bit)`` ``pairs`` at the ascending
+    thresholds ``ys``: pair (d, row, bit) is within y when ``d <= y``."""
+    pairs = sorted(pairs, key=itemgetter(0))
+    dists, rows, bits = zip(*pairs) if pairs else ((), (), ())
+    ends = [bisect_right(dists, y) for y in ys]
+    return Sweep(tuple(ys), width, array("i", rows), array("i", bits), array("q", ends))
+
+
+def _growing_masks(sweep, ys=None):
+    """Yield ``(masks, entered, grew)`` at each threshold y of the
+    ascending ``ys`` (``sweep.ys`` when None): the ``sweep.width`` bitmasks,
+    mask ``row`` holding ``bit`` for every pair with ``d <= y``;
+    ``entered``, the OR of ``1 << bit`` over the pairs that came within y
+    since the previous threshold; and ``grew``, the OR of ``1 << row`` over
+    the rows those pairs went to.  Other ``ys`` than the sweep's own are
+    read only on an instance's sweeps, where every pair's distance is one
+    of ``sweep.ys``.
+
+    Every rule and auditor that sweeps thresholds reads its masks here,
+    replaying the order the instance sorted once.  One list is updated in
     place and yielded at every threshold, so a caller must copy out what it
     keeps past the next one.
     """
-    pairs = sorted(pairs, key=itemgetter(0))
-    masks = [0] * size
-    pos = 0
-    for y in ys:
+    ends = sweep.ends
+    if ys is not None:
+        ends = [ends[s - 1] if s else 0 for s in (bisect_right(sweep.ys, y) for y in ys)]
+    masks = [0] * sweep.width
+    pairs = zip(sweep.rows, sweep.bits)
+    start = 0
+    for end in ends:
         entered = grew = 0
-        while pos < len(pairs) and pairs[pos][0] <= y:
-            _, row, bit = pairs[pos]
+        for row, bit in islice(pairs, end - start):
             b = 1 << bit
             masks[row] |= b
             entered |= b
             grew |= 1 << row
-            pos += 1
+        start = end
         yield masks, entered, grew
-
-
-def _approvals(instance):
-    """Sweep over the agent-candidate distances: per candidate, a mask of
-    the agents approving it (the agents in its ball)."""
-    pairs = [(d, j, i) for i, row in enumerate(instance.dist_rows) for j, d in enumerate(row)]
-    return instance.levels, instance.num_candidates, pairs
-
-
-def _proximity(instance):
-    """Sweep over the agent-agent distances (and 0): per agent, a mask of
-    the agents within the threshold, itself included.  uprf is unaffected:
-    its clique search drops an agent from ``avail`` before reading its
-    adjacency, and self pairs enter at y = 0, where no search is replayed."""
-    rows = instance.agent_rows
-    pairs = [(d, i, j) for i, row in enumerate(rows) for j, d in enumerate(row)]
-    # the int 0 comes first, so co-located float points cannot make it 0.0
-    return sorted({0} | {d for d, _, _ in pairs}), instance.n, pairs
 
 
 def _bits(mask):

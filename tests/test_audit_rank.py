@@ -316,7 +316,7 @@ def test_uprf_matches_the_plain_clique_search():
         return hit, charged
 
     def plain_uprf(inst, W, budget):
-        sweep = audit_rank._proximity(inst)
+        sweep = inst.proximity_sweep
         return audit_rank._threshold_scan(inst, W, Caps(budget), "uprf", plain, sweep, inst.k)
 
     for family, cases in (

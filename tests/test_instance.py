@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from propclust import Instance, MetricSpace, Outcome, q_tc_min_alpha, quota, tc_min_alpha, validate
-from propclust import fixtures
+from propclust import algorithms, audit_rank, fixtures
 from propclust.cli import NUMERIC_NOTIONS, RANK_NOTIONS, parse_instance, run_audit
 from propclust.fixtures import outcome_of
 from propclust.generate import generate_family
+from propclust.instance import _growing_masks
 
 
 def test_quota_examples():
@@ -178,3 +179,134 @@ def test_agent_candidate_relations():
     assert equal.agents_equal_candidates()
     outside = Instance(space, (0, 1), (2,), 1)
     assert not outside.agents_within_candidates()
+
+
+def _fresh_masks(size, pairs, ys):
+    """The threshold sweep sorted afresh on every call: the reference for
+    the instance's cached sweeps.  Yields copies of the masks."""
+    pairs = sorted(pairs, key=lambda pair: pair[0])
+    masks = [0] * size
+    pos = 0
+    for y in ys:
+        entered = grew = 0
+        while pos < len(pairs) and pairs[pos][0] <= y:
+            _, row, bit = pairs[pos]
+            masks[row] |= 1 << bit
+            entered |= 1 << bit
+            grew |= 1 << row
+            pos += 1
+        yield list(masks), entered, grew
+
+
+def _fresh_balls(inst, centers, ys):
+    """Per threshold, each center's ball and the agents that entered one."""
+    before = [0] * len(centers)
+    for y in ys:
+        balls = [
+            sum(1 << i for i, row in enumerate(inst.dist_rows) if row[c] <= y) for c in centers
+        ]
+        covered = 0
+        for old, new in zip(before, balls):
+            covered |= new & ~old
+        before = balls
+        yield balls, covered
+
+
+def _check_cached_sweeps(inst):
+    rows, arows = inst.dist_rows, inst.agent_rows
+    approvals = [(d, j, i) for i, row in enumerate(rows) for j, d in enumerate(row)]
+    proximity = [(d, i, j) for i, row in enumerate(arows) for j, d in enumerate(row)]
+    levels = sorted({d for d, _, _ in approvals})
+    radii = sorted({0} | {d for d, _, _ in proximity})
+    # the first proximity threshold is the int 0, even with float co-location
+    assert type(inst.proximity_sweep.ys[0]) is int and inst.proximity_sweep.ys[0] == 0
+    assert list(inst.approval_sweep.ys) == levels and list(inst.proximity_sweep.ys) == radii
+    for sweep, size, pairs, ys in (
+        (inst.approval_sweep, inst.num_candidates, approvals, levels),
+        (inst.proximity_sweep, inst.n, proximity, radii),
+    ):
+        cached = [(list(masks), entered, grew) for masks, entered, grew in _growing_masks(sweep)]
+        assert cached == list(_fresh_masks(size, pairs, ys))
+    outcomes = [algorithms.greedy_capture(inst)[0], algorithms.expanding_approvals(inst)[0]]
+    for W in outcomes:
+        centers = W.sorted_centers()
+        for ys, walk in (
+            (levels, _growing_masks(inst.approval_sweep)),
+            (radii, _growing_masks(inst.approval_sweep, radii)),
+        ):
+            cached = [(list(b), c) for b, c in audit_rank._center_balls(centers, walk)]
+            assert cached == list(_fresh_balls(inst, centers, ys))
+
+
+def _sweep_coverage(corpus):
+    """How many instances have tied distances, co-located agents and float
+    co-location (a 0.0 between two agent entries)."""
+    ties = sum(
+        len({d for row in inst.dist_rows for d in row}) < inst.n * inst.num_candidates
+        for inst in corpus
+    )
+    colocated = sum(
+        any(d == 0 for i, row in enumerate(inst.agent_rows) for j, d in enumerate(row) if i != j)
+        for inst in corpus
+    )
+    float_zero = sum(
+        any(type(d) is float and d == 0 for row in inst.agent_rows for d in row) for inst in corpus
+    )
+    return ties, colocated, float_zero
+
+
+def test_cached_sweeps_match_a_fresh_sort_small_corpus(small_corpus):
+    assert all(count > 0 for count in _sweep_coverage(small_corpus))
+    for inst in small_corpus:
+        _check_cached_sweeps(inst)
+
+
+def test_cached_sweeps_match_a_fresh_sort_corpus500(corpus500):
+    assert all(count > 0 for count in _sweep_coverage(corpus500))
+    for inst in corpus500:
+        _check_cached_sweeps(inst)
+
+
+def _rule_and_rank_outputs(inst, W, fresh):
+    """Every rule and the five rank audits of ``W``, each on ``inst`` or,
+    when ``fresh``, on a new copy of it with empty caches."""
+
+    def on():
+        return Instance(inst.space, inst.agents, inst.candidates, inst.k) if fresh else inst
+
+    def run(fn, *args):
+        try:
+            result = fn(on(), *args)
+        except ValueError as exc:
+            return str(exc)
+        if isinstance(result, tuple):
+            outcome, trace = result
+            return sorted(outcome.centers), outcome.origin, trace.to_json()
+        return result.to_json()
+
+    records = [
+        run(algorithms.greedy_capture),
+        run(algorithms.expanding_approvals),
+        run(algorithms.fair_greedy_capture, 1, 3),
+        run(algorithms.restricted_solve, "gc"),
+        run(algorithms.restricted_solve, "ea"),
+    ]
+    for fn in (audit_rank.rank_jr_check, audit_rank.rank_pjr_plus_check):
+        records.append(run(fn, W))
+    for fn in (audit_rank.rank_pjr_check, audit_rank.dprf_check, audit_rank.uprf_check):
+        records.append(run(fn, W))
+        records.append(run(fn, W, audit_rank.Caps(7)))
+    return records
+
+
+def test_cached_tables_keep_no_per_call_state(small_corpus):
+    # outcomes A, B, then A again on one instance read the same as on
+    # fresh instances: no umask, memo or mask survives a call in a cache
+    for idx, src in enumerate(small_corpus):
+        inst = Instance(src.space, src.agents, src.candidates, src.k)
+        rng = random.Random(idx)
+        size = min(inst.k, inst.num_candidates)
+        A = Outcome(rng.sample(range(inst.num_candidates), size))
+        B = Outcome(rng.sample(range(inst.num_candidates), rng.randint(0, size)))
+        for W in (A, B, A):
+            assert _rule_and_rank_outputs(inst, W, False) == _rule_and_rank_outputs(inst, W, True)

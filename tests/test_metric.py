@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from propclust import Instance, MetricSpace, Outcome
 from propclust import fixtures
 from propclust.audit_single import dists_to_centers
-from propclust.instance import _growing_masks
+from propclust.instance import _growing_masks, _sweep
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ def _d_q(space, a, targets, q):
 def _ball(space, a, r):
     """The points within r of a, read from the shared threshold sweep."""
     pairs = [(space.dist(a, x), 0, x) for x in range(space.num_points)]
-    (masks, _, _), = _growing_masks(1, pairs, [r])
+    (masks, _, _), = _growing_masks(_sweep([r], 1, pairs))
     return {x for x in range(space.num_points) if masks[0] >> x & 1}
 
 

@@ -34,7 +34,7 @@ from propclust import (
     uprf_check,
 )
 from propclust import oracle as orc
-from propclust.instance import _growing_masks
+from propclust.instance import _growing_masks, _sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "propclust"
 OWNERS = ("metric.py",)
@@ -67,7 +67,7 @@ def test_only_metric_names_tau():
 
 def _within(space, a, b, y):
     """Whether point b lies within y of point a in the shared sweep."""
-    (masks, _, _), = _growing_masks(1, [(space.dist(a, b), 0, 0)], [y])
+    (masks, _, _), = _growing_masks(_sweep([y], 1, [(space.dist(a, b), 0, 0)]))
     return masks[0] == 1
 
 
