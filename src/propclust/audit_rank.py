@@ -18,23 +18,24 @@ walk, and uprf walks the approval sweep beside its own.
 
 At each threshold the scan walks every cover set: for ell and a set Y of
 ell - 1 centers, the agents approving no center outside Y, who together
-approve fewer than ell centers.  The instance builds their templates once
-per center count (``Instance.cover_sets``); each call keeps its own agent
-masks and memos.  The cover sets live across thresholds:
-a cover set changes only where an agent of it enters a ball of a center
-outside Y, and one that falls below its quota is dropped for good.  A
-failed search whose cover set and masks inside it are unchanged is not
-run again; the scan charges the nodes it charged last time, so a budget
-runs out exactly where re-running it would.  The uprf search does the
-same for each failed subtree whose edges are unchanged, within a search
-and across thresholds.  Each axiom supplies only a search inside one
-cover set, and the scan builds the violation from what it finds:
-rank-pjr and dprf look for ell candidates that a quota of the cover set
-all approve, rank-pjr+ for one such unopened candidate, and uprf for a
-quota within the threshold of one another (an index-ordered
-branch-and-bound clique search).  rank-jr is exactly the ell = 1 row of
-rank-pjr+: the ell = 1 cover set is the agents approving no center, and a
-center's approvers are never among them.
+approve fewer than ell centers.  The instance builds their templates
+once per center count and ell (``Instance.cover_sets``), so rank-jr
+builds only its ell = 1 row; each call keeps its own agent masks and
+memos.  The cover sets live across thresholds: a cover set changes only
+where an agent of it enters a ball of a center outside Y, and one that
+falls below its quota is dropped for good.  A failed search whose cover
+set and masks inside it are unchanged is not run again; the scan charges
+the nodes it charged last time, so a budget runs out exactly where
+re-running it would.  The uprf search does the same for each failed
+subtree whose edges are unchanged, within a search and across
+thresholds.  Each axiom supplies only a search inside one cover set, and
+the scan builds the violation from what it finds: rank-pjr and dprf look
+for ell candidates that a quota of the cover set all approve, rank-pjr+
+for one such unopened candidate, and uprf for a quota within the
+threshold of one another (an index-ordered branch-and-bound clique
+search).  rank-jr is exactly the ell = 1 row of rank-pjr+: the ell = 1
+cover set is the agents approving no center, and a center's approvers
+are never among them.
 
 Every search is exact: a violating group always induces a (target, cover
 set) pair, and any pair found certifies a violation.  Each search is
@@ -113,10 +114,11 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     positions, in combinations order within each ell: its umask holds the
     agents in no ball of a center outside Y, so any group inside it
     approves fewer than ell centers.  Their templates come from
-    ``instance.cover_sets``; each call makes its own live copies and
-    keeps them across thresholds.  Balls only grow, so a umask only loses
-    agents: it is updated only where an agent entered a center's ball, and
-    a cover set is dropped for good once it holds fewer than its quota m.
+    ``instance.cover_sets``, one ell at a time up to ``max_ell``; each
+    call makes its own live copies and keeps them across thresholds.
+    Balls only grow, so a umask only loses agents: it is updated only where
+    an agent entered a center's ball, and a cover set is dropped for good
+    once it holds fewer than its quota m.
 
     ``search(masks, ell, m, umask, left, memo, entered) -> (hit, nodes
     charged)`` gets the sweep's ``width`` masks at the threshold, the cover
@@ -144,11 +146,13 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     # [ell, m, positions outside Y, umask, nodes of the last failed search, memo]
     live = [
         [ell, m, outside, everyone, None, {}]
-        for ell, m, outside in instance.cover_sets(len(centers))
-        if ell <= max_ell
+        for ell in range(1, max_ell + 1)
+        for _, m, outside in instance.cover_sets(len(centers), ell)
     ]
     grown = _growing_masks(sweep)
-    # a center's ball is its approval mask, at the same thresholds or not
+    # a center's ball is its approval mask.  The approval scans share their
+    # own walk: a second walk of the same sweep costs them about a sixth of
+    # their time on small instances.  uprf walks it at its own thresholds.
     if sweep is instance.approval_sweep:
         grown, approvals = tee(grown)
     else:

@@ -10,7 +10,8 @@ instance sorts its agent-candidate pairs (``approval_sweep``) and its
 agent-agent pairs (``proximity_sweep``) once, into compact arrays, and
 ``_growing_masks`` replays a sorted order on every call, counting a
 distance d as within a threshold y when ``d <= y``.  The rank audits'
-cover-set templates (``cover_sets``) are built once per instance too.
+cover-set templates (``cover_sets``) are built once per instance too, one
+ell at a time, the first time a scan reads them.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class Instance:
     ``int_rows``, the agent-by-agent distances ``agent_rows``, the sorted
     distinct agent-candidate distances ``levels``, the two sorted threshold
     sweeps ``approval_sweep`` and ``proximity_sweep``, and the rank audits'
-    cover-set templates ``cover_sets(size)``, built once per center count.
+    cover-set templates ``cover_sets(size, ell)``, built once per center
+    count and ell.
     ``d_ac`` and ``d_aa`` read the metric space directly; the brute-force
     oracle uses only those, so it stays independent of the tables.
     """
@@ -155,24 +157,31 @@ class Instance:
         # the int 0 comes first, so co-located float points cannot make it 0.0
         return _sweep(sorted({0} | {d for d, _, _ in pairs}), self.n, pairs)
 
-    def cover_sets(self, size):
-        """The rank audits' cover-set templates for ``size`` centers: for
-        ell = 1 .. k and each set Y of min(ell - 1, size) center positions,
-        in combinations order within each ell, ``(ell, m, outside)`` with
-        the quota m = quota(n, k, ell) and the positions outside Y.  The
-        ell = 1 template comes first and is the only one with ell = 1."""
+    def cover_sets(self, size, ell):
+        """The rank audits' cover-set templates for ``size`` centers and
+        one ell: for each set Y of min(ell - 1, size) center positions, in
+        combinations order, ``(ell, m, outside)`` with the quota
+        m = quota(n, k, ell) and the positions outside Y.  Each ell is built
+        only when a scan first reads it, so rank-jr builds its one ell = 1
+        template and never the 2^size of the higher rows."""
+        key = (size, ell)
         made = self._cover_sets
-        if size not in made:
-            made[size] = tuple(
-                (ell, quota(self.n, self.k, ell), tuple(p for p in range(size) if p not in ysub))
-                for ell in range(1, self.k + 1)
+        templates = made.get(key)
+        if templates is None:
+            m = quota(self.n, self.k, ell)
+            templates = tuple(
+                (ell, m, tuple(p for p in range(size) if p not in ysub))
                 for ysub in combinations(range(size), min(ell - 1, size))
             )
-        return made[size]
+            if size <= self.k:
+                made[key] = templates
+        return templates
 
     @cached_property
     def _cover_sets(self):
-        # center count -> templates; at most k + 1 keys
+        # (center count, ell) -> templates, kept for the instance's life; only
+        # counts up to k are kept, so at most (k + 1) * k keys.  An outcome of
+        # more than k centers, which ``validate`` flags, builds its own per call.
         return {}
 
     def agents_within_candidates(self):

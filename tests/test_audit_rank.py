@@ -350,3 +350,26 @@ def test_caps_accepts_int_budgets():
     assert Caps(0).node_budget == 0
     assert Caps(node_budget=7).node_budget == 7
 
+
+def test_rank_jr_builds_only_its_ell_one_cover_set():
+    # rank-jr reads only the ell = 1 row of the cover sets, so a committee
+    # of k = |W| = 40 must not build the 2^40 cover sets of the higher rows
+    for k in (16, 40):
+        space = MetricSpace.from_points([(float(x),) for x in range(2 * k)])
+        inst = Instance(space, range(0, 2 * k, 2), "all", k)
+        W = Outcome(range(0, 2 * k, 2))
+        assert rank_jr_check(inst, W).passed
+        assert list(inst._cover_sets) == [(k, 1)]
+
+
+def test_cover_sets_of_oversized_outcomes_are_not_kept():
+    # an outcome of more than k centers is audited, but its cover-set
+    # templates are built per call and not kept on the instance
+    space = MetricSpace.from_points([(float(x),) for x in range(8)])
+    inst = Instance(space, range(8), "all", 3)
+    W = Outcome(range(0, 8, 2))
+    for check in (rank_jr_check, rank_pjr_check, rank_pjr_plus_check, dprf_check, uprf_check):
+        fresh = Instance(space, range(8), "all", 3)
+        assert check(inst, W).to_json() == check(fresh, W).to_json()
+        assert check(inst, W).to_json() == check(fresh, W).to_json()
+    assert inst._cover_sets == {}
