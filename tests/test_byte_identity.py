@@ -126,6 +126,37 @@ def test_corpus500_ea_byte_identical(corpus500):
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_EA_DIGEST
 
 
+# Recorded before restricted mode and fair greedy capture moved onto the
+# instance's one point-to-candidate map.  gc-restricted runs where the
+# agents sit on candidates and fgc where they equal them; both record the
+# errors elsewhere, and fgc's q = 2 also where it exceeds k.
+RECORDED_GC_FGC_DIGEST = "f84e1b4696d86805da3aa818e1c5e04da4815b8a8de57ecce8808bec9f6d717f"
+
+
+def gc_fgc_outputs(corpus):
+    records = []
+    for idx, inst in enumerate(corpus):
+        runs = [("gc-restricted", lambda: algorithms.restricted_solve(inst, "gc"))]
+        runs += [
+            (f"fgc-{q}-{seed}", lambda q=q, seed=seed: algorithms.fair_greedy_capture(inst, q, seed))
+            for q in (1, 2)
+            for seed in (1, 2)
+        ]
+        for tag, run in runs:
+            try:
+                outcome, trace = run()
+            except ValueError as exc:
+                records.append([idx, tag, _error(exc)])
+                continue
+            records.append([idx, tag, sorted(outcome.centers), outcome.origin, trace.to_json()])
+    return records
+
+
+def test_corpus500_gc_restricted_fgc_byte_identical(corpus500):
+    text = json.dumps(gc_fgc_outputs(corpus500), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_GC_FGC_DIGEST
+
+
 # Recorded before the q-subset scan started pruning by the incumbent.  Each
 # q-audit runs at several size caps, so the scan must carry its incumbent
 # from one subset size to the next; the random outcomes include |W| < q.
