@@ -210,9 +210,7 @@ def fair_greedy_capture(instance, q, seed):
     m = quota(n, k, q, 1)
     rng = random.Random(seed)
     daa = instance.agent_rows
-    cand_at_point = {}
-    for idx, c in enumerate(instance.candidates):
-        cand_at_point.setdefault(c, idx)
+    cand_at_point = instance.candidate_at_point
     remaining = (1 << n) - 1
     selected = []
     events = []
@@ -274,21 +272,14 @@ def restricted_solve(instance, rule):
         raise ValueError(f"unknown rule {rule!r}")
     if not instance.agents_within_candidates():
         raise ValueError("restricted mode needs agents inside the candidate set")
-    seen = {}
-    agent_points = []
-    for a in instance.agents:
-        if a not in seen:
-            seen[a] = len(agent_points)
-            agent_points.append(a)
-    sub = Instance(instance.space, instance.agents, tuple(agent_points), instance.k)
+    # first-appearance order: it sets the sub-instance's tie-breaks
+    agent_points = tuple(dict.fromkeys(instance.agents))
+    sub = Instance(instance.space, instance.agents, agent_points, instance.k)
     if rule == "gc":
         out, trace = greedy_capture(sub)
     else:
         out, trace = expanding_approvals(sub)
-    orig_at_point = {}
-    for idx, c in enumerate(instance.candidates):
-        orig_at_point.setdefault(c, idx)
-    remap = {j: orig_at_point[agent_points[j]] for j in range(len(agent_points))}
+    remap = {j: instance.candidate_at_point[p] for j, p in enumerate(agent_points)}
     centers = frozenset(remap[j] for j in out.centers)
     # remap.get keeps a missing candidate or center as None
     events = tuple(

@@ -83,7 +83,7 @@ class Caps:
 def thresholds(instance):
     """Sorted distinct agent-candidate distances; the only y values at
     which any approval set can change."""
-    return list(instance.levels)
+    return list(instance.approval_sweep.ys)
 
 
 def _center_balls(centers, approvals):

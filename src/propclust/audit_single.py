@@ -213,6 +213,7 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     of the exact witness, ``q_group_sum_ratio``.
     """
     n, k = instance.n, instance.k
+    # tc's targets are single candidates, which may_beat screens for less than the masks cost
     unfiltered = summed and q == 1
     rows = instance.int_rows if summed else instance.dist_rows
     dqW = dists_to_centers(instance, outcome, q, rows)

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .generate import block_edges
 from .instance import Instance, Outcome, quota
 from .metric import MetricSpace
 
@@ -173,11 +174,8 @@ def qtc_blocks(n=10, k=4):
     if not 2 <= k <= n:
         raise ValueError("fixture needs 2 <= k <= n")
     z = quota(n, k, 1, 1)
-    edges = [(0, i, 0) for i in range(1, z)]
-    edges += [(z, i, 0) for i in range(z + 1, n)]
-    edges += [(0, z, 1)]
     labels = {"block1": 0, "block2": z}
-    space = MetricSpace.from_graph(n, edges)
+    space = MetricSpace.from_graph(n, block_edges(n, k))
     inst = Instance(space, tuple(range(n)), "all", k)
     centers = frozenset({0} | set(range(z, z + k - 1)))
     return inst, labels, Outcome(centers)

@@ -115,6 +115,16 @@ def _encode_weight(w):
     return [w.numerator, w.denominator]
 
 
+def block_edges(n, k):
+    """The ``[u, v, w]`` edges of two co-located blocks at distance 1,
+    points 0 .. z - 1 and z .. n - 1 for z = quota(n, k).  Unchecked."""
+    z = quota(n, k, 1, 1)
+    edges = [[0, i, 0] for i in range(1, z)]
+    edges += [[z, i, 0] for i in range(z + 1, n)]
+    edges.append([0, z, 1])
+    return edges
+
+
 def generate_family(family, n, k, seed):
     """CLI entry: deterministic InstanceFile dict for a family.  Sizes that
     make no valid instance raise ValueError (blocks needs two blocks)."""
@@ -143,12 +153,8 @@ def generate_family(family, n, k, seed):
             "k": k,
         }
     if family == "blocks":
-        z = quota(n, k, 1, 1)
-        edges = [[0, i, 0] for i in range(1, z)]
-        edges += [[z, i, 0] for i in range(z + 1, n)]
-        edges.append([0, z, 1])
         return {
-            "metric": {"type": "graph", "nodes": n, "edges": edges},
+            "metric": {"type": "graph", "nodes": n, "edges": block_edges(n, k)},
             "agents": list(range(n)),
             "candidates": "all",
             "k": k,

@@ -6,12 +6,13 @@ number of centers ``k``.  An outcome is a set of *candidate indices*, which
 keeps co-located candidates distinguishable.
 
 The threshold sweep that every rule and auditor reads lives here too.  An
-instance sorts its agent-candidate pairs (``approval_sweep``) and its
-agent-agent pairs (``proximity_sweep``) once, into compact arrays, and
-``_growing_masks`` replays a sorted order on every call, counting a
-distance d as within a threshold y when ``d <= y``.  The rank audits'
-cover-set templates (``cover_sets``) are built once per instance too, one
-ell at a time, the first time a scan reads them.
+instance sorts its agent-candidate pairs (``approval_sweep``, whose ``ys``
+are the approval thresholds) and its agent-agent pairs (``proximity_sweep``)
+once, into compact arrays, and ``_growing_masks`` replays a sorted order on
+every call, counting a distance d as within a threshold y when ``d <= y``.
+The rank audits' cover-set templates (``cover_sets``) are built once per
+instance too, one ell at a time, the first time a scan reads them.  One
+map, ``candidate_at_point``, answers which candidate stands at a point.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ class Instance:
 
     Rules and auditors read lazily built, read-only tables: the
     agent-by-candidate distances ``dist_rows`` and their integer scaling
-    ``int_rows``, the agent-by-agent distances ``agent_rows``, the sorted
-    distinct agent-candidate distances ``levels``, the two sorted threshold
-    sweeps ``approval_sweep`` and ``proximity_sweep``, and the rank audits'
-    cover-set templates ``cover_sets(size, ell)``, built once per center
-    count and ell.
+    ``int_rows``, the agent-by-agent distances ``agent_rows``, the two
+    sorted threshold sweeps ``approval_sweep`` and ``proximity_sweep``, the
+    lowest candidate index at each candidate point ``candidate_at_point``,
+    and the rank audits' cover-set templates ``cover_sets(size, ell)``,
+    built once per center count and ell.
     ``d_ac`` and ``d_aa`` read the metric space directly; the brute-force
     oracle uses only those, so it stays independent of the tables.
     """
@@ -131,19 +132,14 @@ class Instance:
         return tuple(tuple(dist(a, b) for b in self.agents) for a in self.agents)
 
     @cached_property
-    def levels(self):
-        """Sorted distinct agent-candidate distances: the only radii at
-        which any ball around a candidate gains an agent."""
-        return tuple(sorted({d for row in self.dist_rows for d in row}))
-
-    @cached_property
     def approval_sweep(self):
         """The sweep over the agent-candidate distances: per candidate, a
         mask of the agents approving it (the agents in its ball), at each
-        threshold of ``levels``."""
-        width = self.num_candidates
+        sorted distinct distance, the only radii at which any ball gains
+        an agent."""
         pairs = [(d, j, i) for i, row in enumerate(self.dist_rows) for j, d in enumerate(row)]
-        return _sweep(self.levels, width, pairs)
+        # the set is built row by row, so of 0 and 0.0 the first one seen is kept
+        return _sweep(sorted({d for d, _, _ in pairs}), self.num_candidates, pairs)
 
     @cached_property
     def proximity_sweep(self):
@@ -184,14 +180,22 @@ class Instance:
         # more than k centers, which ``validate`` flags, builds its own per call.
         return {}
 
+    @cached_property
+    def candidate_at_point(self):
+        """Per candidate point, its lowest candidate index: the candidate
+        that a rule opening an agent's point names."""
+        at = {}
+        for idx, c in enumerate(self.candidates):
+            at.setdefault(c, idx)
+        return at
+
     def agents_within_candidates(self):
         """True when every agent sits on some candidate point (N inside C)."""
-        cand_points = set(self.candidates)
-        return all(a in cand_points for a in self.agents)
+        return all(a in self.candidate_at_point for a in self.agents)
 
     def agents_equal_candidates(self):
         """True when agents and candidates occupy the same point set (N = C)."""
-        return set(self.agents) == set(self.candidates)
+        return self.candidate_at_point.keys() == set(self.agents)
 
 
 class Sweep(NamedTuple):

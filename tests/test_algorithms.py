@@ -199,6 +199,31 @@ def test_trace_invariants_random():
         assert trace.events[-1].remaining == 0
 
 
+def _colocated_instance(candidates, k):
+    """Points 0-3 on a line in two pairs, 4 far off.  ``candidates`` repeats
+    points out of order; the agents list points 3 (twice), 2, 1, 0, in
+    descending order."""
+    space = MetricSpace.from_points([[0], [1], [10], [11], [30]])
+    return Instance(space, (3, 3, 2, 1, 0), candidates, k)
+
+
+def _assert_lowest_parent_indices(inst, out, trace):
+    """Every center and every trace ``candidate``/``center`` field is the
+    lowest candidate index at an agent's point, and every captured,
+    absorbed or charged agent is within the event's delta of it."""
+    cands = inst.candidates
+    for c in out.centers:
+        assert cands.index(cands[c]) == c and cands[c] in inst.agents
+    for e in trace.events:
+        for c in (e.candidate, e.center):
+            if c is not None:
+                assert cands.index(cands[c]) == c and cands[c] in inst.agents
+        if e.kind == "absorb":
+            assert inst.d_ac(e.agent, e.center) == e.delta
+        elif e.kind == "deduct":
+            assert inst.d_ac(e.agent, e.center) <= e.delta
+
+
 def test_fgc_trace_partition():
     rng = random.Random(161)
     for _ in range(20):
@@ -209,6 +234,11 @@ def test_fgc_trace_partition():
         assert len(removed) == len(set(removed))  # deleted at most once
         deltas = [e.delta for e in trace.events]
         assert deltas == sorted(deltas)
+    inst = _colocated_instance((2, 0, 2, 3, 1, 0, 3, 1), 3)
+    for q in (1, 2, 3):
+        for seed in range(4):
+            out, trace = fair_greedy_capture(inst, q, seed)
+            _assert_lowest_parent_indices(inst, out, trace)
 
 
 def test_gc_determinism_bitwise():
@@ -252,6 +282,13 @@ def test_restricted_outcome_indices_are_original():
     agent_points = set(inst.agents)
     for c in out.centers:
         assert inst.candidates[c] in agent_points
+    inst = _colocated_instance((4, 2, 0, 2, 3, 1, 0, 3, 1), 2)
+    for rule in ("gc", "ea"):
+        out, trace = restricted_solve(inst, rule)
+        _assert_lowest_parent_indices(inst, out, trace)
+        for e in trace.events:
+            if e.kind == "open":
+                assert all(inst.d_ac(i, e.candidate) <= e.delta for i in e.captured)
 
 
 def test_ea_budget_never_overdrawn():

@@ -50,6 +50,16 @@ def test_gen_blocks_shape(capsys):
     assert len(zero_block) == 3
 
 
+@pytest.mark.parametrize("n, k", [(2, 2), (10, 4), (9, 3), (13, 5), (12, 12)])
+def test_gen_blocks_matches_the_qtc_blocks_fixture(n, k):
+    from propclust import fixtures
+
+    gen = parse_instance(generate_family("blocks", n, k, 0))
+    fixture = fixtures.qtc_blocks(n, k)[0]
+    assert (gen.agents, gen.candidates, gen.k) == (fixture.agents, fixture.candidates, fixture.k)
+    assert gen.agent_rows == fixture.agent_rows
+
+
 @pytest.mark.parametrize(
     "family, n, k, bad",
     [

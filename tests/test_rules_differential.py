@@ -138,7 +138,7 @@ def plain_expanding_approvals(instance, deduct_order=None):
     closed = list(range(instance.num_candidates))
     opened = []
     events = []
-    for delta in instance.levels:
+    for delta in sorted({d for row in table for d in row}):
         while len(opened) < k:
             for j in closed:
                 ball = [i for i in range(n) if table[i][j] <= delta]
