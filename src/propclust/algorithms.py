@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instance import Instance, Outcome, _bits, _growing_masks, quota
+from .metric import _as_id
 from .reports import encode_value
 
 
@@ -202,6 +203,7 @@ def fair_greedy_capture(instance, q, seed):
     the final committee is filled up to k with uniformly random agents that
     were never selected.
     """
+    q = _as_id(q, "q")
     if q < 1 or q > instance.k:
         raise ValueError("q must satisfy 1 <= q <= k")
     if not instance.agents_equal_candidates():

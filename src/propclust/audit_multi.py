@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .audit_single import deviation_scan, q_group_min_ratio, q_group_sum_ratio, radius_scan
 from .instance import quota
-from .metric import _as_gamma
+from .metric import _as_gamma, _as_id
 from .reports import CAP_EXHAUSTED, EXACT, AuditReport, Witness
 
 
@@ -41,10 +41,12 @@ def _subset_status(instance, size_cap, gamma):
 
 def q_core_min_alpha(instance, outcome, q, size_cap=None):
     """Smallest blocking factor against deviations to q-of-C' center sets."""
+    q = _as_id(q, "q")
     if q < 1 or q > instance.k:
         raise ValueError("q must satisfy 1 <= q <= k")
     if size_cap is None:
         size_cap = max(q, default_size_cap(instance))
+    size_cap = _as_id(size_cap, "size_cap")
     if size_cap < q:
         raise ValueError("size_cap must be at least q")
     params = {"q": q, "size_cap": size_cap}
@@ -54,6 +56,7 @@ def q_core_min_alpha(instance, outcome, q, size_cap=None):
 def q_if_min_beta(instance, outcome, q):
     """Largest ratio of q-th-center distance to the q-scaled neighborhood
     radius; needs agents inside the candidate set and k <= n."""
+    q = _as_id(q, "q")
     if not instance.agents_within_candidates():
         raise ValueError("q-IF undefined: agents are not a subset of candidates")
     if instance.k > instance.n:
@@ -67,8 +70,10 @@ def q_tc_min_alpha(instance, outcome, q, gamma=1, size_cap=None):
     """Smallest transferable-core factor for q-of-C' deviations at scale
     gamma, maximizing the ratio of summed q-th-center distances."""
     g = Fraction(*_as_gamma(gamma))
+    q = _as_id(q, "q")
     if size_cap is None:
         size_cap = max(q, default_size_cap(instance))
+    size_cap = _as_id(size_cap, "size_cap")
     if q < 1 or q > size_cap:
         raise ValueError("q must satisfy 1 <= q <= size_cap")
     params = {"q": q, "gamma": g, "size_cap": size_cap}

@@ -10,11 +10,14 @@ All five axioms run through one incremental scan.  Each instance sorts
 its (distance, row, bit) pairs once, in ``Instance.approval_sweep`` and
 ``Instance.proximity_sweep``, and every call replays that order through
 ``instance._growing_masks``, which the clustering rules read too, OR-ing
-the pairs into the approval or adjacency masks and into the centers'
-balls as the threshold grows: an agent approves a candidate at threshold
-y when their distance d has ``d <= y``.  A center's ball is its approval
-mask, so no call sorts: the approval scans read the balls off their own
-walk, and uprf walks the approval sweep beside its own.
+the pairs into the approval or adjacency masks as the threshold grows: an
+agent approves a candidate at threshold y when their distance d has
+``d <= y``.  A center's ball is its approval mask, read straight off a
+walk of the approval sweep, so no call sorts or copies a ball: the
+approval scans read it off their own walk, and uprf walks the approval
+sweep beside its own.  That walk's ``entered``, the agents that entered
+some ball at the threshold, tells the scan which cover sets may have lost
+an agent.
 
 At each threshold the scan walks every cover set: for ell and a set Y of
 ell - 1 centers, the agents approving no center outside Y, who together
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice, tee
+from itertools import combinations, islice
 
 from .instance import _bits, _checked_centers, _growing_masks
 from .metric import _as_id
@@ -86,26 +89,6 @@ def thresholds(instance):
     return list(instance.approval_sweep.ys)
 
 
-def _center_balls(centers, approvals):
-    """Yield ``(balls, covered)`` at each step of ``approvals``, a walk of
-    the approval sweep: ``balls[p]``, the ball of ``centers[p]``, which is
-    its approval mask, and ``covered``, the agents that entered one of
-    those balls at that step.  Only the balls of centers in the walk's
-    ``grew`` are read again."""
-    balls = [0] * len(centers)
-    wmask = 0
-    for c in centers:
-        wmask |= 1 << c
-    for masks, _, grew in approvals:
-        covered = 0
-        if grew & wmask:
-            for p, c in enumerate(centers):
-                if grew >> c & 1:
-                    covered |= masks[c] ^ balls[p]
-                    balls[p] = masks[c]
-        yield balls, covered
-
-
 def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     """Search every cover set for ell = 1 .. ``max_ell`` at every threshold
     of the instance's ``sweep`` until ``search`` finds a violation.
@@ -116,9 +99,14 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     approves fewer than ell centers.  Their templates come from
     ``instance.cover_sets``, one ell at a time up to ``max_ell``; each
     call makes its own live copies and keeps them across thresholds.
-    Balls only grow, so a umask only loses agents: it is updated only where
-    an agent entered a center's ball, and a cover set is dropped for good
-    once it holds fewer than its quota m.
+    A center's ball is the approval walk's mask of that center: the
+    sweep's own masks for the approval scans, and for uprf a walk of the
+    approval sweep at the proximity thresholds.  Balls only grow, so a
+    umask only loses agents, and only an agent that just entered a ball can
+    leave: a umask is recomputed from the balls only at a threshold where
+    one of its agents is in that walk's ``entered``, and a cover set is
+    dropped for good once it holds fewer than its quota m.  Recomputing
+    a umask that lost no agent leaves it, and its replay, unchanged.
 
     ``search(masks, ell, m, umask, left, memo, entered) -> (hit, nodes
     charged)`` gets the sweep's ``width`` masks at the threshold, the cover
@@ -149,36 +137,30 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
         for ell in range(1, max_ell + 1)
         for _, m, outside in instance.cover_sets(len(centers), ell)
     ]
-    grown = _growing_masks(sweep)
-    # a center's ball is its approval mask.  The approval scans share their
-    # own walk: a second walk of the same sweep costs them about a sixth of
-    # their time on small instances.  uprf walks it at its own thresholds.
     if sweep is instance.approval_sweep:
-        grown, approvals = tee(grown)
+        walk = ((masks, entered, masks, entered) for masks, entered, _ in _growing_masks(sweep))
     else:
-        approvals = _growing_masks(instance.approval_sweep, sweep.ys)
+        walk = (
+            (masks, entered, balls, covered)
+            for (masks, entered, _), (balls, covered, _) in zip(
+                _growing_masks(sweep), _growing_masks(instance.approval_sweep, sweep.ys)
+            )
+        )
     left = caps.node_budget
-    for y, (masks, entered, _), (balls, covered) in zip(
-        sweep.ys, grown, _center_balls(centers, approvals)
-    ):
-        if covered:
-            kept = []
-            for cover in live:
-                umask = cover[3]
-                if umask & covered:
-                    for p in cover[2]:
-                        umask &= ~balls[p]
-                    if umask.bit_count() < cover[1]:
-                        continue
-                    if umask != cover[3]:
-                        cover[3] = umask
-                        cover[4] = None
-                kept.append(cover)
-            live = kept
-            if not live:
-                break
+    for y, (masks, entered, balls, covered) in zip(sweep.ys, walk):
+        dropped = False
         for cover in live:
-            ell, m, _, umask, spent, memo = cover
+            ell, m, outside, umask, spent, memo = cover
+            if umask & covered:
+                for p in outside:
+                    umask &= ~balls[centers[p]]
+                if umask.bit_count() < m:
+                    cover[3] = 0  # emptied: filtered out after this threshold
+                    dropped = True
+                    continue
+                if umask != cover[3]:
+                    cover[3] = umask
+                    spent = cover[4] = None
             hit = None
             if spent is None or entered & umask:
                 hit, spent = search(masks, ell, m, umask, left, memo, entered)
@@ -189,9 +171,13 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
                 cover[4] = spent
                 continue
             group, cands = hit
-            winners = tuple(c for c, ball in zip(centers, balls) if ball & group)
+            winners = tuple(c for c in centers if balls[c] & group)
             violation = RankViolation(notion, y, ell, tuple(_bits(group)), cands, winners)
             return AuditReport(notion, {}, VIOLATION, violation, EXACT)
+        if dropped:
+            live = [cover for cover in live if cover[3]]
+            if not live:
+                break
     return AuditReport(notion, {}, PASS, None, EXACT)
 
 

@@ -254,7 +254,14 @@ def _growing_masks(sweep, ys=None):
 
 
 def _bits(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The positions of the set bits of ``mask``, ascending: each step
+    takes the lowest set bit, so the walk costs one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from propclust import (
     MetricSpace,
     Outcome,
     expanding_approvals,
+    fair_greedy_capture,
     greedy_capture,
     pf_min_alpha,
     q_core_min_alpha,
@@ -318,6 +321,69 @@ def test_summed_audits_exact_across_600_orders_of_magnitude():
     assert report.witness == Witness(agents=(0, 1, 2), candidates=(0, 2), ell=2)
     assert report.value == math.inf
     assert q_tc_min_alpha(exact, W, 1).value == (2 * Fraction(b) + Fraction(a)) / Fraction(a)
+
+
+def _encoded_value(report):
+    return json.dumps(report.to_json()["value"])
+
+
+def test_valued_scans_keep_int_values_on_a_float_matrix():
+    # the space holds floats, yet every distance the verdicts divide is an
+    # int, so pf and q-core value 3 / 1 and tc (3 + 3) / 1 as exact ints
+    d = [
+        [0, 1, 2, 3, 1.5],
+        [1, 0, 2, 3, 1.5],
+        [2, 2, 0, 3, 2.5],
+        [3, 3, 3, 0, 3.0],
+        [1.5, 1.5, 2.5, 3.0, 0],
+    ]
+    inst = Instance(MetricSpace.from_matrix(d), (0, 1), "all", 1)
+    W = Outcome([3])
+    for report in (pf_min_alpha(inst, W), q_core_min_alpha(inst, W, 1)):
+        assert report.value == 3 and not isinstance(report.value, float)
+        assert _encoded_value(report) == "3"
+    report = tc_min_alpha(inst, W)
+    assert report.value == 6 and not isinstance(report.value, float)
+    assert _encoded_value(report) == "6"
+
+
+def test_valued_scans_report_float_overflow_as_inf():
+    # agent 1 values candidate 0 at 1e300 / 1e-300, which overflows to inf
+    a, b = 1e-300, 1e300
+    d = [[0, a, b, b], [a, 0, b, b], [b, b, 0, a], [b, b, a, 0]]
+    inst = Instance(MetricSpace.from_matrix(d), (0, 1, 2), "all", 2)
+    for W in (Outcome([2]), Outcome([3])):
+        for report in (pf_min_alpha(inst, W), q_core_min_alpha(inst, W, 1)):
+            assert report.value == math.inf
+            assert _encoded_value(report) == '"inf"'
+            assert report.witness.agents == (0, 1) and report.witness.candidates == (0,)
+
+
+_Q_CALLS = {
+    "qcore q": lambda inst, W, v: q_core_min_alpha(inst, W, v),
+    "qcore size_cap": lambda inst, W, v: q_core_min_alpha(inst, W, 1, v),
+    "qtc q": lambda inst, W, v: q_tc_min_alpha(inst, W, v),
+    "qtc size_cap": lambda inst, W, v: q_tc_min_alpha(inst, W, 1, 1, v),
+    "qif q": lambda inst, W, v: q_if_min_beta(inst, W, v),
+    "fgc q": lambda inst, W, v: fair_greedy_capture(inst, v, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (call, value)
+        for call in sorted(_Q_CALLS)
+        for value in (True, False, 2.0, "2", None)
+        # a size_cap of None asks for the default cap
+        if not (call.endswith("size_cap") and value is None)
+    ],
+)
+def test_q_and_size_cap_must_be_ints(call, value):
+    inst, _ = fixtures.fig3a(4)
+    name = call.split()[1]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        _Q_CALLS[call](inst, Outcome([0, 1]), value)
 
 
 def test_summed_audits_float_equals_exact(small_corpus):

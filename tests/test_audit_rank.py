@@ -276,6 +276,22 @@ def test_uprf_budget_runs_out_where_it_did():
         assert (report.witness.threshold_y, report.witness.covered_winners) == (y, winners)
 
 
+def test_uprf_budget_edge_with_a_center_off_the_agents():
+    # the one center stands at no agent's point, so agents enter its ball
+    # between two proximity thresholds; the cover sets must be refreshed
+    # from the approval walk there, or a stale umask replays an old node
+    # count and the budget runs out elsewhere
+    pts = [(6, 2), (5, 0), (2, 5), (0, 1), (6, 4), (6, 5), (5, 5)]
+    inst = Instance(MetricSpace.from_points(pts, "l1"), range(6), "all", 2)
+    W = Outcome([6])
+    report = uprf_check(inst, W, Caps(27))
+    assert (report.value, report.status) == ("pass", CAP_EXHAUSTED)
+    report = uprf_check(inst, W, Caps(28))
+    assert (report.value, report.status) == ("violation", "exact")
+    assert report.witness.group == tuple(range(6)) and report.witness.ell == 2
+    assert (report.witness.threshold_y, report.witness.covered_winners) == (10, (6,))
+
+
 def _plain_clique_at_least(adj, ell, m, umask, left, *_):
     """The uprf search without subtree replay, kept as it was."""
     charged = 0

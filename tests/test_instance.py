@@ -227,6 +227,9 @@ def _check_cached_sweeps(inst):
     ):
         cached = [(list(masks), entered, grew) for masks, entered, grew in _growing_masks(sweep)]
         assert cached == list(_fresh_masks(size, pairs, ys))
+    # the rank audits read each center's ball as the approval walk's mask of
+    # that center, and recompute a cover set only where an agent is in the
+    # walk's entered: at both the approval and the proximity thresholds
     outcomes = [algorithms.greedy_capture(inst)[0], algorithms.expanding_approvals(inst)[0]]
     for W in outcomes:
         centers = W.sorted_centers()
@@ -234,8 +237,11 @@ def _check_cached_sweeps(inst):
             (levels, _growing_masks(inst.approval_sweep)),
             (radii, _growing_masks(inst.approval_sweep, radii)),
         ):
-            cached = [(list(b), c) for b, c in audit_rank._center_balls(centers, walk)]
-            assert cached == list(_fresh_balls(inst, centers, ys))
+            for (masks, entered, _), (balls, covered) in zip(
+                walk, _fresh_balls(inst, centers, ys), strict=True
+            ):
+                assert [masks[c] for c in centers] == balls
+                assert covered & ~entered == 0
 
 
 def _sweep_coverage(corpus):
