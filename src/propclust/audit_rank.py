@@ -7,8 +7,8 @@ only at realized agent-candidate distances, so auditing the finite sorted
 threshold list is equivalent to auditing all real y.
 
 All five axioms run through one incremental scan.  Each instance sorts
-its (distance, row, bit) pairs once, in ``Instance.approval_sweep`` and
-``Instance.proximity_sweep``, and every call replays that order through
+the entries of its distance tables once, in ``Instance.approval_sweep``
+and ``Instance.proximity_sweep``, and every call replays that order through
 ``instance._growing_masks``, which the clustering rules read too, OR-ing
 the pairs into the approval or adjacency masks as the threshold grows: an
 agent approves a candidate at threshold y when their distance d has

@@ -71,7 +71,30 @@ def _emit(text, output):
         print(text)
 
 
+# The optional flags that each notion (audit) or rule (solve) reads; any
+# other given flag is an error rather than silently ignored.
+_FLAGS_READ = {
+    "tc": ("gamma",),
+    "qcore": ("q", "cap"),
+    "qif": ("q",),
+    "qtc": ("gamma", "q", "cap"),
+    "fgc": ("q",),
+}
+
+
+def _unread_flag(args, name):
+    """The error for the first of --gamma, --q and --cap that was given
+    but that notion or rule ``name`` never reads, or None."""
+    for flag in ("gamma", "q", "cap"):
+        if getattr(args, flag, None) is not None and flag not in _FLAGS_READ.get(name, ()):
+            return f"--{flag} does not apply to {name}"
+    return None
+
+
 def cmd_solve(args):
+    problem = _unread_flag(args, args.alg)
+    if problem:
+        return _fail(problem)
     try:
         instance = parse_instance(load_json(args.input))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -134,6 +157,9 @@ def run_audit(instance, outcome, notion, gamma=None, q=None, cap=None):
 
 
 def cmd_audit(args):
+    problem = _unread_flag(args, args.notion)
+    if problem:
+        return _fail(problem)
     try:
         instance = parse_instance(load_json(args.input))
         outcome = Outcome(load_json(args.outcome)["W"])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .instance import Instance, quota
-from .metric import MetricSpace
+from .metric import MetricSpace, _as_id
 
 
 def euclidean_instance(rng, n, k, extra_candidates=0):
@@ -127,7 +127,9 @@ def block_edges(n, k):
 
 def generate_family(family, n, k, seed):
     """CLI entry: deterministic InstanceFile dict for a family.  Sizes that
-    make no valid instance raise ValueError (blocks needs two blocks)."""
+    are not ints (bools included) or make no valid instance raise
+    ValueError (blocks needs two blocks)."""
+    n, k = _as_id(n, "n"), _as_id(k, "k")
     low = 2 if family == "blocks" else 1
     for name, value in (("n", n), ("k", k)):
         if value < low:

@@ -5,11 +5,13 @@ ids into one metric space, agents possibly repeated) together with a target
 number of centers ``k``.  An outcome is a set of *candidate indices*, which
 keeps co-located candidates distinguishable.
 
-The threshold sweep that every rule and auditor reads lives here too.  An
-instance sorts its agent-candidate pairs (``approval_sweep``, whose ``ys``
-are the approval thresholds) and its agent-agent pairs (``proximity_sweep``)
-once, into compact arrays, and ``_growing_masks`` replays a sorted order on
-every call, counting a distance d as within a threshold y when ``d <= y``.
+The threshold sweep that every rule and auditor reads lives here too.
+``_sweep`` builds one from a distance table by sorting the table's flat
+indices once, into compact arrays: an instance builds ``approval_sweep``
+(whose ``ys`` are the approval thresholds) from its agent-candidate table
+and ``proximity_sweep`` from its agent-agent table, and ``_growing_masks``
+replays a sorted order on every call, counting a distance d as within a
+threshold y when ``d <= y``.
 The rank audits' cover-set templates (``cover_sets``) are built once per
 instance too, one ell at a time, the first time a scan reads them.  One
 map, ``candidate_at_point``, answers which candidate stands at a point.
@@ -23,7 +25,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
-from operator import itemgetter
 from typing import NamedTuple
 
 from .metric import MetricSpace, _as_gamma, _as_id
@@ -137,9 +138,7 @@ class Instance:
         mask of the agents approving it (the agents in its ball), at each
         sorted distinct distance, the only radii at which any ball gains
         an agent."""
-        pairs = [(d, j, i) for i, row in enumerate(self.dist_rows) for j, d in enumerate(row)]
-        # the set is built row by row, so of 0 and 0.0 the first one seen is kept
-        return _sweep(sorted({d for d, _, _ in pairs}), self.num_candidates, pairs)
+        return _sweep(self.dist_rows)
 
     @cached_property
     def proximity_sweep(self):
@@ -147,11 +146,10 @@ class Instance:
         mask of the agents within the threshold, itself included.  uprf is
         unaffected: its clique search drops an agent from ``avail`` before
         reading its adjacency, and self pairs enter at y = 0, where no
-        search is replayed."""
-        rows = self.agent_rows
-        pairs = [(d, i, j) for i, row in enumerate(rows) for j, d in enumerate(row)]
-        # the int 0 comes first, so co-located float points cannot make it 0.0
-        return _sweep(sorted({0} | {d for d, _, _ in pairs}), self.n, pairs)
+        search is replayed.  The table is symmetric, so which index is the
+        mask and which the bit does not matter; the int 0 is listed first,
+        so co-located float points cannot make it 0.0."""
+        return _sweep(self.agent_rows, 0)
 
     def cover_sets(self, size, ell):
         """The rank audits' cover-set templates for ``size`` centers and
@@ -201,9 +199,10 @@ class Instance:
 class Sweep(NamedTuple):
     """A threshold sweep sorted once: ``width`` masks grow through the
     ascending thresholds ``ys``.  Pair t of the ascending distance order
-    (ties in the order the pairs were listed) puts bit ``bits[t]`` into
-    mask ``rows[t]``, and the pairs within ``ys[s]`` are the first
-    ``ends[s]``."""
+    is flat index ``bits[t] * width + rows[t]`` of the distance table and
+    puts bit ``bits[t]`` into mask ``rows[t]``; the pairs within ``ys[s]``
+    are the first ``ends[s]``.  Order within one threshold is immaterial:
+    a replay yields only at the ends."""
 
     ys: tuple
     width: int
@@ -212,13 +211,23 @@ class Sweep(NamedTuple):
     ends: array
 
 
-def _sweep(ys, width, pairs):
-    """The ``Sweep`` of the ``(d, row, bit)`` ``pairs`` at the ascending
-    thresholds ``ys``: pair (d, row, bit) is within y when ``d <= y``."""
-    pairs = sorted(pairs, key=itemgetter(0))
-    dists, rows, bits = zip(*pairs) if pairs else ((), (), ())
-    ends = [bisect_right(dists, y) for y in ys]
-    return Sweep(tuple(ys), width, array("i", rows), array("i", bits), array("q", ends))
+def _sweep(table, *first):
+    """The ``Sweep`` of a distance table, whose entry ``table[bit][row]``
+    puts ``bit`` into mask ``row`` once it is within a threshold y, that
+    is when ``table[bit][row] <= y``.  The thresholds are the distinct
+    values of ``first`` and the table; of equal values such as 0 and 0.0
+    the first one seen is kept, ``first`` before the table row by row.
+    The table's flat indices are sorted by distance (a stable sort, so
+    ties keep row-major order), and each index t is stored as row
+    ``t % width`` and bit ``t // width``."""
+    width = len(table[0])
+    flat = [d for row in table for d in row]
+    order = sorted(range(len(flat)), key=flat.__getitem__)
+    dists = list(map(flat.__getitem__, order))
+    ys = sorted({*first, *flat})
+    rows = array("i", [t % width for t in order])
+    bits = array("i", [t // width for t in order])
+    return Sweep(tuple(ys), width, rows, bits, array("q", [bisect_right(dists, y) for y in ys]))
 
 
 def _growing_masks(sweep, ys=None):
@@ -227,9 +236,8 @@ def _growing_masks(sweep, ys=None):
     mask ``row`` holding ``bit`` for every pair with ``d <= y``;
     ``entered``, the OR of ``1 << bit`` over the pairs that came within y
     since the previous threshold; and ``grew``, the OR of ``1 << row`` over
-    the rows those pairs went to.  Other ``ys`` than the sweep's own are
-    read only on an instance's sweeps, where every pair's distance is one
-    of ``sweep.ys``.
+    the rows those pairs went to.  A sweep can be read at any ascending
+    ``ys``, since every pair's distance is one of its own thresholds.
 
     Every rule and auditor that sweeps thresholds reads its masks here,
     replaying the order the instance sorted once.  One list is updated in

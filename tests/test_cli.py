@@ -78,6 +78,16 @@ def test_gen_rejects_sizes_without_an_instance(capsys, family, n, k, bad):
     assert f"needs {bad} >=" in json.loads(captured.err)["error"]
 
 
+@pytest.mark.parametrize("family", ["euclidean", "graph", "blocks"])
+@pytest.mark.parametrize("name", ["n", "k"])
+@pytest.mark.parametrize("value", [True, 2.0, "3", None])
+def test_generate_family_rejects_non_int_sizes(family, name, value):
+    # never coerced (n=True is not a one-point instance) and never a TypeError
+    sizes = {"n": 4, "k": 2, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        generate_family(family, sizes["n"], sizes["k"], 1)
+
+
 @pytest.mark.parametrize(
     "args, bad", [((1, 8, 4), "max_n must be >= 2"), ((8, 8, 0), "max_k must be >= 1")]
 )
@@ -242,6 +252,35 @@ def test_audit_q_zero_rejected(tmp_path, capsys):
         assert code == 2, notion
         assert captured.out == ""
         assert "q must satisfy" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, name",
+    [
+        (("audit", "--notion", "pf", "--q", "3"), "--q", "pf"),
+        (("audit", "--notion", "pf", "--cap", "9"), "--cap", "pf"),
+        (("audit", "--notion", "pf", "--gamma", "2"), "--gamma", "pf"),
+        (("audit", "--notion", "rank-pjr", "--cap", "0"), "--cap", "rank-pjr"),
+        (("audit", "--notion", "uprf", "--q", "2"), "--q", "uprf"),
+        (("audit", "--notion", "if", "--gamma", "2"), "--gamma", "if"),
+        (("audit", "--notion", "tc", "--cap", "2"), "--cap", "tc"),
+        (("audit", "--notion", "qif", "--cap", "2"), "--cap", "qif"),
+        (("audit", "--notion", "qcore", "--gamma", "2"), "--gamma", "qcore"),
+        (("solve", "--alg", "gc", "--q", "2"), "--q", "gc"),
+        (("solve", "--alg", "ea-restricted", "--q", "1"), "--q", "ea-restricted"),
+    ],
+)
+def test_flags_a_notion_or_rule_never_reads_exit2(tmp_path, capsys, argv, flag, name):
+    from propclust import fixtures
+
+    inst, L = fixtures.fig2a(5)
+    inst_path = write(tmp_path, "fig2a.json", instance_to_file(inst))
+    w_path = write(tmp_path, "w.json", {"W": sorted(L[x] for x in ("1", "2", "3", "6", "9"))})
+    files = ("--input", inst_path) + (("--outcome", w_path) if argv[0] == "audit" else ())
+    assert run_cli(*argv, *files) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": f"{flag} does not apply to {name}"}
 
 
 def test_solve_non_integral_ids_exit2(tmp_path, capsys):

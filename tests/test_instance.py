@@ -10,7 +10,7 @@ from propclust import algorithms, audit_rank, fixtures
 from propclust.cli import NUMERIC_NOTIONS, RANK_NOTIONS, parse_instance, run_audit
 from propclust.fixtures import outcome_of
 from propclust.generate import generate_family
-from propclust.instance import _growing_masks
+from propclust.instance import _growing_masks, _sweep
 
 
 def test_quota_examples():
@@ -179,6 +179,49 @@ def test_agent_candidate_relations():
     assert equal.agents_equal_candidates()
     outside = Instance(space, (0, 1), (2,), 1)
     assert not outside.agents_within_candidates()
+
+
+def test_sweep_builds_from_a_non_square_table():
+    # entry table[bit][row] puts bit into mask row; pair t is flat index
+    # bit * width + row, so the 2 x 3 table fills three masks of two bits
+    table = [[2, 0.0, 5], [0, 2, 1]]
+    sweep = _sweep(table)
+    assert sweep.width == 3
+    assert list(sweep.rows) == [1, 0, 2, 0, 1, 2]
+    assert list(sweep.bits) == [0, 1, 1, 0, 1, 0]
+    assert sweep.ys == (0.0, 1, 2, 5) and list(sweep.ends) == [2, 3, 5, 6]
+    # without first, the 0.0 seen first in row-major order is the threshold
+    assert type(sweep.ys[0]) is float
+    expected = [
+        ([0b10, 0b01, 0b00], 0b11, 0b011),
+        ([0b10, 0b01, 0b10], 0b10, 0b100),
+        ([0b11, 0b11, 0b10], 0b11, 0b011),
+        ([0b11, 0b11, 0b11], 0b01, 0b100),
+    ]
+    assert [(list(m), e, g) for m, e, g in _growing_masks(sweep)] == expected
+    for y, (masks, _, _) in zip(sweep.ys, expected):
+        assert masks == [
+            sum(1 << bit for bit, row in enumerate(table) if row[r] <= y) for r in range(3)
+        ]
+
+
+def test_sweep_first_values_win_and_any_ys_reads():
+    table = [[2, 0.0, 5], [0, 2, 1]]
+    sweep = _sweep(table, 0)
+    assert sweep.ys == (0, 1, 2, 5) and type(sweep.ys[0]) is int
+    assert list(sweep.ends) == [2, 3, 5, 6]
+    # without first, the first zero in row-major order is kept
+    assert [type(y) for y in _sweep([[0, 0.0]]).ys] == [int]
+    assert [type(y) for y in _sweep([[1.5], [0.0], [0]]).ys] == [float, float]
+    # a sweep reads at any ascending ys: every distance is one of its ys
+    read = [(list(m), e, g) for m, e, g in _growing_masks(sweep, [-1, 0.5, 3, 9])]
+    assert read == [
+        ([0, 0, 0], 0, 0),
+        ([0b10, 0b01, 0b00], 0b11, 0b011),
+        ([0b11, 0b11, 0b10], 0b11, 0b111),
+        ([0b11, 0b11, 0b11], 0b01, 0b100),
+    ]
+    assert list(_growing_masks(sweep, [])) == []
 
 
 def _fresh_masks(size, pairs, ys):

@@ -42,8 +42,8 @@ def _d_q(space, a, targets, q):
 
 def _ball(space, a, r):
     """The points within r of a, read from the shared threshold sweep."""
-    pairs = [(space.dist(a, x), 0, x) for x in range(space.num_points)]
-    (masks, _, _), = _growing_masks(_sweep([r], 1, pairs))
+    sweep = _sweep([[space.dist(a, x)] for x in range(space.num_points)])
+    (masks, _, _), = _growing_masks(sweep, [r])
     return {x for x in range(space.num_points) if masks[0] >> x & 1}
 
 

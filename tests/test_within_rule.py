@@ -67,7 +67,7 @@ def test_only_metric_names_tau():
 
 def _within(space, a, b, y):
     """Whether point b lies within y of point a in the shared sweep."""
-    (masks, _, _), = _growing_masks(_sweep([y], 1, [(space.dist(a, b), 0, 0)]))
+    (masks, _, _), = _growing_masks(_sweep([[space.dist(a, b)]]), [y])
     return masks[0] == 1
 
 
