@@ -78,14 +78,14 @@ _FLAGS_READ = {
     "qcore": ("q", "cap"),
     "qif": ("q",),
     "qtc": ("gamma", "q", "cap"),
-    "fgc": ("q",),
+    "fgc": ("q", "seed"),
 }
 
 
 def _unread_flag(args, name):
-    """The error for the first of --gamma, --q and --cap that was given
-    but that notion or rule ``name`` never reads, or None."""
-    for flag in ("gamma", "q", "cap"):
+    """The error for the first of --gamma, --q, --cap and --seed that was
+    given but that notion or rule ``name`` never reads, or None."""
+    for flag in ("gamma", "q", "cap", "seed"):
         if getattr(args, flag, None) is not None and flag not in _FLAGS_READ.get(name, ()):
             return f"--{flag} does not apply to {name}"
     return None
@@ -95,6 +95,7 @@ def cmd_solve(args):
     problem = _unread_flag(args, args.alg)
     if problem:
         return _fail(problem)
+    seed = 0 if args.seed is None else args.seed
     try:
         instance = parse_instance(load_json(args.input))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -107,7 +108,7 @@ def cmd_solve(args):
         elif args.alg == "fgc":
             if args.q is None:
                 return _fail("fgc needs --q")
-            outcome, trace = algorithms.fair_greedy_capture(instance, args.q, args.seed)
+            outcome, trace = algorithms.fair_greedy_capture(instance, args.q, seed)
         else:
             outcome, trace = algorithms.restricted_solve(instance, args.alg.split("-")[0])
     except ValueError as exc:
@@ -115,7 +116,7 @@ def cmd_solve(args):
     payload = {
         "W": sorted(outcome.centers),
         "alg": args.alg,
-        "seed": args.seed,
+        "seed": seed,
         "origin": outcome.origin,
     }
     if args.trace:
@@ -283,7 +284,7 @@ def build_parser():
         choices=["gc", "ea", "fgc", "gc-restricted", "ea-restricted"],
     )
     p_solve.add_argument("--q", type=int, default=None)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--seed", type=int, default=None)
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--trace", action="store_true")
     p_solve.add_argument("--output", default=None)

@@ -3,14 +3,15 @@
 Values are numbers (int, Fraction, float), ``math.inf``, or the strings
 ``"pass"`` / ``"violation"`` for the threshold axioms.  Fractions round-trip
 through JSON as ``[num, den]`` pairs and infinity as the string ``"inf"``,
-so reports serialize byte-identically across runs.
+so reports serialize byte-identically across runs.  A report's one encoding
+is the text ``AuditReport.to_json_str`` writes; ``to_json`` parses it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 EXACT = "exact"
@@ -56,16 +57,18 @@ class AuditReport:
         return self.value == PASS
 
     def to_json(self):
-        return {
-            "notion": self.notion,
-            "params": {k: encode_value(v) for k, v in sorted(self.params.items())},
-            "value": encode_value(self.value),
-            "witness": encode_witness(self.witness),
-            "status": self.status,
-        }
+        return json.loads(self.to_json_str())
 
     def to_json_str(self):
-        return json.dumps(self.to_json(), sort_keys=True)
+        """The bytes ``json.dumps(..., sort_keys=True)`` gives for the report
+        with its values through ``encode_value``; names are str."""
+        p = self.params
+        params = ", ".join([f"{_str(k)}: {_write(p[k])}" for k in sorted(p)]) if p else ""
+        return (
+            f'{{"notion": {_str(self.notion)}, "params": {{{params}}}, '
+            f'"status": {_str(self.status)}, "value": {_write(self.value)}, '
+            f'"witness": {_write_fields(self.witness)}}}'
+        )
 
 
 def encode_value(v):
@@ -92,7 +95,43 @@ def decode_value(v):
     return v
 
 
-def encode_witness(w):
+_str = json.encoder.encode_basestring_ascii
+
+
+def _write(v):
+    """The JSON text of ``encode_value(v)``; a type without a form of its
+    own, such as a subclass, goes through ``encode_value`` and ``json``."""
+    t = type(v)
+    if t is int:
+        return repr(v)
+    if t is tuple or t is list:
+        return "[" + ", ".join([repr(x) if type(x) is int else _write(x) for x in v]) + "]"
+    if v is None:
+        return "null"
+    if t is str:
+        return _str(v)
+    if t is Fraction:
+        if v.denominator == 1:
+            return repr(v.numerator)
+        return f"[{v.numerator!r}, {v.denominator!r}]"
+    if t is float:
+        if math.isinf(v):
+            return '"inf"'
+        return "NaN" if v != v else repr(v)
+    return json.dumps(encode_value(v))
+
+
+def _keys(names):
+    return [(f"{_str(name)}: ", name) for name in sorted(names)]
+
+
+_KEYS = {cls: _keys(f.name for f in fields(cls)) for cls in (Witness, RankViolation)}
+
+
+def _write_fields(w):
+    """A witness as an object of its fields, in sorted order."""
     if w is None:
-        return None
-    return {k: encode_value(v) for k, v in sorted(vars(w).items())}
+        return "null"
+    values = vars(w)
+    keys = _KEYS.get(type(w)) or _keys(values)
+    return "{" + ", ".join([key + _write(values[name]) for key, name in keys]) + "}"

@@ -134,6 +134,19 @@ def test_solve_fgc_size_contract(fig3a_file, capsys):
     assert len(obj["W"]) == 4
 
 
+def test_solve_echoes_the_seed_fgc_reads(fig3a_file, capsys):
+    path, _ = fig3a_file
+    assert run_cli("solve", "--alg", "fgc", "--q", "2", "--seed", "5", "--input", path) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert run_cli("solve", "--alg", "fgc", "--q", "2", "--seed", "0", "--input", path) == 0
+    seed_zero = capsys.readouterr().out
+    assert run_cli("solve", "--alg", "fgc", "--q", "2", "--input", path) == 0
+    assert capsys.readouterr().out == seed_zero
+    for alg in ("gc", "ea-restricted"):
+        assert run_cli("solve", "--alg", alg, "--input", path) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+
 def test_solve_ea_spends_full_budget(fig3a_file, capsys):
     path, labels = fig3a_file
     assert run_cli("solve", "--alg", "ea", "--input", path) == 0
@@ -268,6 +281,10 @@ def test_audit_q_zero_rejected(tmp_path, capsys):
         (("audit", "--notion", "qcore", "--gamma", "2"), "--gamma", "qcore"),
         (("solve", "--alg", "gc", "--q", "2"), "--q", "gc"),
         (("solve", "--alg", "ea-restricted", "--q", "1"), "--q", "ea-restricted"),
+        (("solve", "--alg", "gc", "--seed", "5"), "--seed", "gc"),
+        (("solve", "--alg", "ea", "--seed", "0"), "--seed", "ea"),
+        (("solve", "--alg", "gc-restricted", "--seed", "5"), "--seed", "gc-restricted"),
+        (("solve", "--alg", "ea-restricted", "--seed", "5"), "--seed", "ea-restricted"),
     ],
 )
 def test_flags_a_notion_or_rule_never_reads_exit2(tmp_path, capsys, argv, flag, name):

@@ -3,7 +3,8 @@
 The benchmark looks package functions up by ``<module>.<name>``, so a
 refactor that renames or removes one breaks it without failing any other
 test.  This test loads the benchmark's workload and check lists by path,
-without running them, and resolves every name against the package.
+without running them, and resolves every name against the package, along
+with the methods the runner calls on the results it encodes.
 """
 
 import importlib
@@ -27,6 +28,9 @@ DIRECT_NAMES = (
     "metric.MetricSpace",
     "metric.TAU",
     "reports.RankViolation",
+    # methods run.py's encode_outcome and encode_report call on results
+    "algorithms.Trace.to_json",
+    "reports.AuditReport.to_json_str",
 )
 
 
@@ -42,8 +46,11 @@ def _load(name):
 
 
 def _resolve(dotted):
-    module, name = dotted.split(".")
-    return getattr(importlib.import_module(f"propclust.{module}"), name)
+    module, *names = dotted.split(".")
+    found = importlib.import_module(f"propclust.{module}")
+    for name in names:
+        found = getattr(found, name)
+    return found
 
 
 def test_perfbench_names_resolve():
