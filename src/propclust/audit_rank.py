@@ -15,9 +15,9 @@ agent approves a candidate at threshold y when their distance d has
 ``d <= y``.  A center's ball is its approval mask, read straight off a
 walk of the approval sweep, so no call sorts or copies a ball: the
 approval scans read it off their own walk, and uprf walks the approval
-sweep beside its own.  That walk's ``entered``, the agents that entered
-some ball at the threshold, tells the scan which cover sets may have lost
-an agent.
+sweep beside its own.  That walk's ``grew``, the candidates whose balls
+grew at the threshold, and ``entered``, the agents that entered them, tell
+the scan which cover sets may have lost an agent.
 
 At each threshold the scan walks every cover set: for ell and a set Y of
 ell - 1 centers, the agents approving no center outside Y, who together
@@ -102,10 +102,11 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     A center's ball is the approval walk's mask of that center: the
     sweep's own masks for the approval scans, and for uprf a walk of the
     approval sweep at the proximity thresholds.  Balls only grow, so a
-    umask only loses agents, and only an agent that just entered a ball can
-    leave: a umask is recomputed from the balls only at a threshold where
-    one of its agents is in that walk's ``entered``, and a cover set is
-    dropped for good once it holds fewer than its quota m.  Recomputing
+    umask only loses agents, and only an agent that just entered a center's
+    ball can leave: a umask is recomputed from the balls only at a
+    threshold where that walk's ``grew`` holds a center and one of the
+    umask's agents is in its ``entered``, and a cover set is dropped for
+    good once it holds fewer than its quota m.  Recomputing
     a umask that lost no agent leaves it, and its replay, unchanged.
 
     ``search(masks, ell, m, umask, left, memo, entered) -> (hit, nodes
@@ -137,12 +138,17 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
         for ell in range(1, max_ell + 1)
         for _, m, outside in instance.cover_sets(len(centers), ell)
     ]
+    cmask = sum(1 << c for c in centers)
+    # an agent can leave a umask only at a threshold where a center's ball grew
     if sweep is instance.approval_sweep:
-        walk = ((masks, entered, masks, entered) for masks, entered, _ in _growing_masks(sweep))
+        walk = (
+            (masks, entered, masks, entered if grew & cmask else 0)
+            for masks, entered, grew in _growing_masks(sweep)
+        )
     else:
         walk = (
-            (masks, entered, balls, covered)
-            for (masks, entered, _), (balls, covered, _) in zip(
+            (masks, entered, balls, covered if grew & cmask else 0)
+            for (masks, entered, _), (balls, covered, grew) in zip(
                 _growing_masks(sweep), _growing_masks(instance.approval_sweep, sweep.ys)
             )
         )

@@ -10,6 +10,11 @@ pairs), "points" ({"dim", "coords", "norm"}), and "matrix" ({"d": rows}
 of such weights or finite floats).
 Outcomes are {"W": [candidate indices, ...]}.
 
+``RULES`` and ``AUDITS`` are the one list of the rules and notions and of
+the optional flags each reads.  The ``--alg`` and ``--notion`` choices,
+the check that every given flag is read, the dispatch and the repro rows
+that run a rule all read them; ``generate.FAMILIES`` lists the families.
+
 Exit codes: 0 success (for pass/fail audits: pass), 1 audit violation,
 2 invalid input, 3 result hit an enumeration cap under --require-exact.
 Reports go to stdout or --output; stderr only ever carries error messages.
@@ -21,9 +26,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import algorithms, audit_multi, audit_rank, audit_single, fixtures
-from .generate import generate_family
+from .generate import FAMILIES, generate_family
 from .instance import Instance, Outcome, validate
 from .metric import MetricSpace, _as_distance, _as_id
 from .reports import CAP_EXHAUSTED, VIOLATION, encode_value
@@ -71,28 +77,51 @@ def _emit(text, output):
         print(text)
 
 
-# The optional flags that each notion (audit) or rule (solve) reads; any
-# other given flag is an error rather than silently ignored.
-_FLAGS_READ = {
-    "tc": ("gamma",),
-    "qcore": ("q", "cap"),
-    "qif": ("q",),
-    "qtc": ("gamma", "q", "cap"),
-    "fgc": ("q", "seed"),
+# The one list of rules and notions: each --alg and --notion names its
+# function and the optional flags it reads, in call order.  Any other flag
+# given to it is an error rather than silently ignored.
+RULES = {
+    "gc": (algorithms.greedy_capture, ()),
+    "ea": (algorithms.expanding_approvals, ()),
+    "fgc": (algorithms.fair_greedy_capture, ("q", "seed")),
+    "gc-restricted": (partial(algorithms.restricted_solve, rule="gc"), ()),
+    "ea-restricted": (partial(algorithms.restricted_solve, rule="ea"), ()),
 }
+AUDITS = {
+    "pf": (audit_single.pf_min_alpha, ()),
+    "if": (audit_single.if_min_beta, ()),
+    "tc": (audit_single.tc_min_alpha, ("gamma",)),
+    "qcore": (audit_multi.q_core_min_alpha, ("q", "cap")),
+    "qif": (audit_multi.q_if_min_beta, ("q",)),
+    "qtc": (audit_multi.q_tc_min_alpha, ("q", "gamma", "cap")),
+    "rank-jr": (audit_rank.rank_jr_check, ()),
+    "rank-pjr": (audit_rank.rank_pjr_check, ()),
+    "rank-pjr+": (audit_rank.rank_pjr_plus_check, ()),
+    "dprf": (audit_rank.dprf_check, ()),
+    "uprf": (audit_rank.uprf_check, ()),
+}
+# the pass/fail threshold axioms, then the notions with a numeric value
+RANK_NOTIONS = tuple(
+    name for name, (audit, _) in AUDITS.items() if audit.__module__ == audit_rank.__name__
+)
+NUMERIC_NOTIONS = tuple(name for name in AUDITS if name not in RANK_NOTIONS)
+
+# The type of each optional flag, in the order their errors are checked.
+_FLAG_TYPES = {"gamma": str, "q": int, "cap": int, "seed": int}
 
 
-def _unread_flag(args, name):
-    """The error for the first of --gamma, --q, --cap and --seed that was
-    given but that notion or rule ``name`` never reads, or None."""
-    for flag in ("gamma", "q", "cap", "seed"):
-        if getattr(args, flag, None) is not None and flag not in _FLAGS_READ.get(name, ()):
+def _unread_flag(args, name, reads):
+    """The error for the first optional flag that was given but that
+    notion or rule ``name``, which reads ``reads``, never reads, or None."""
+    for flag in _FLAG_TYPES:
+        if getattr(args, flag, None) is not None and flag not in reads:
             return f"--{flag} does not apply to {name}"
     return None
 
 
 def cmd_solve(args):
-    problem = _unread_flag(args, args.alg)
+    rule, reads = RULES[args.alg]
+    problem = _unread_flag(args, args.alg, reads)
     if problem:
         return _fail(problem)
     seed = 0 if args.seed is None else args.seed
@@ -100,17 +129,11 @@ def cmd_solve(args):
         instance = parse_instance(load_json(args.input))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
+    if "q" in reads and args.q is None:
+        return _fail(f"{args.alg} needs --q")
+    given = {"q": args.q, "seed": seed}
     try:
-        if args.alg == "gc":
-            outcome, trace = algorithms.greedy_capture(instance)
-        elif args.alg == "ea":
-            outcome, trace = algorithms.expanding_approvals(instance)
-        elif args.alg == "fgc":
-            if args.q is None:
-                return _fail("fgc needs --q")
-            outcome, trace = algorithms.fair_greedy_capture(instance, args.q, seed)
-        else:
-            outcome, trace = algorithms.restricted_solve(instance, args.alg.split("-")[0])
+        outcome, trace = rule(instance, *[given[flag] for flag in reads])
     except ValueError as exc:
         return _fail(str(exc))
     payload = {
@@ -125,40 +148,16 @@ def cmd_solve(args):
     return 0
 
 
-NUMERIC_NOTIONS = ("pf", "if", "tc", "qcore", "qif", "qtc")
-RANK_NOTIONS = ("rank-jr", "rank-pjr", "rank-pjr+", "dprf", "uprf")
-
-
 def run_audit(instance, outcome, notion, gamma=None, q=None, cap=None):
-    gamma = 1 if gamma is None else gamma
-    q = 1 if q is None else q
-    if notion == "pf":
-        return audit_single.pf_min_alpha(instance, outcome)
-    if notion == "if":
-        return audit_single.if_min_beta(instance, outcome)
-    if notion == "tc":
-        return audit_single.tc_min_alpha(instance, outcome, gamma)
-    if notion == "qcore":
-        return audit_multi.q_core_min_alpha(instance, outcome, q, cap)
-    if notion == "qif":
-        return audit_multi.q_if_min_beta(instance, outcome, q)
-    if notion == "qtc":
-        return audit_multi.q_tc_min_alpha(instance, outcome, q, gamma, cap)
-    if notion == "rank-jr":
-        return audit_rank.rank_jr_check(instance, outcome)
-    if notion == "rank-pjr":
-        return audit_rank.rank_pjr_check(instance, outcome)
-    if notion == "rank-pjr+":
-        return audit_rank.rank_pjr_plus_check(instance, outcome)
-    if notion == "dprf":
-        return audit_rank.dprf_check(instance, outcome)
-    if notion == "uprf":
-        return audit_rank.uprf_check(instance, outcome)
-    raise ValueError(f"unknown notion {notion!r}")
+    if notion not in AUDITS:
+        raise ValueError(f"unknown notion {notion!r}")
+    audit, reads = AUDITS[notion]
+    given = {"gamma": 1 if gamma is None else gamma, "q": 1 if q is None else q, "cap": cap}
+    return audit(instance, outcome, *[given[flag] for flag in reads])
 
 
 def cmd_audit(args):
-    problem = _unread_flag(args, args.notion)
+    problem = _unread_flag(args, args.notion, AUDITS[args.notion][1])
     if problem:
         return _fail(problem)
     try:
@@ -179,7 +178,7 @@ def cmd_audit(args):
     _emit(report.to_json_str(), args.output)
     if args.require_exact and report.status == CAP_EXHAUSTED:
         return 3
-    if args.notion in RANK_NOTIONS and report.value == VIOLATION:
+    if report.value == VIOLATION:
         return 1
     return 0
 
@@ -191,8 +190,7 @@ def _evaluate_case(case):
         instance, labels = case.build()
         outcome = None
     if case.notion.startswith("solve-"):
-        rules = {"solve-gc": algorithms.greedy_capture, "solve-ea": algorithms.expanding_approvals}
-        got, _ = rules[case.notion](instance)
+        got, _ = RULES[case.notion.removeprefix("solve-")][0](instance)
         expected = frozenset(labels[x] for x in case.outcome)
         return sorted(got.centers), sorted(expected), got.centers == expected
     if outcome is None:
@@ -270,6 +268,13 @@ def cmd_gen(args):
     return 0
 
 
+def _add_table(parser, key, table):
+    """``--key`` choosing a name of ``table``, then each flag some name reads."""
+    parser.add_argument(f"--{key}", required=True, choices=list(table))
+    for flag in dict.fromkeys(flag for _, reads in table.values() for flag in reads):
+        parser.add_argument(f"--{flag}", type=_FLAG_TYPES[flag], default=None)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="propclust",
@@ -278,25 +283,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run a clustering rule")
-    p_solve.add_argument(
-        "--alg",
-        required=True,
-        choices=["gc", "ea", "fgc", "gc-restricted", "ea-restricted"],
-    )
-    p_solve.add_argument("--q", type=int, default=None)
-    p_solve.add_argument("--seed", type=int, default=None)
+    _add_table(p_solve, "alg", RULES)
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--trace", action="store_true")
     p_solve.add_argument("--output", default=None)
     p_solve.set_defaults(func=cmd_solve)
 
     p_audit = sub.add_parser("audit", help="audit an outcome")
-    p_audit.add_argument(
-        "--notion", required=True, choices=list(NUMERIC_NOTIONS) + list(RANK_NOTIONS)
-    )
-    p_audit.add_argument("--gamma", default=None)
-    p_audit.add_argument("--q", type=int, default=None)
-    p_audit.add_argument("--cap", type=int, default=None)
+    _add_table(p_audit, "notion", AUDITS)
     p_audit.add_argument("--input", required=True)
     p_audit.add_argument("--outcome", required=True)
     p_audit.add_argument("--require-exact", action="store_true")
@@ -310,9 +304,7 @@ def build_parser():
     p_repro.set_defaults(func=cmd_repro)
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
-    p_gen.add_argument(
-        "--family", required=True, choices=["euclidean", "graph", "blocks"]
-    )
+    p_gen.add_argument("--family", required=True, choices=FAMILIES)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--k", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)

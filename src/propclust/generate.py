@@ -1,9 +1,10 @@
 """Seeded random instance generators for property tests and the CLI.
 
-Three families: coordinate instances in the unit square, connected graphs
-with small integer weights (exercising exact arithmetic and co-location),
-and the two-block stress construction.  The same (family, parameters, seed)
-always yields the same instance.
+Three families, named in ``FAMILIES`` (the ``gen`` choices): coordinate
+instances in the unit square, connected graphs with small integer weights
+(exercising exact arithmetic and co-location), and the two-block stress
+construction.  The same (family, parameters, seed) always yields the same
+instance.
 """
 
 from __future__ import annotations
@@ -65,11 +66,7 @@ def random_instance(rng, max_n=12, max_c=12, max_k=5, mode=None):
     extra = 0 if mode == "equal" else rng.randint(1, max(1, max_c - n))
     if n + extra > max_c:
         extra = max(0, max_c - n)
-    family = rng.choice(["euclidean", "graph"])
-    if family == "euclidean":
-        inst = euclidean_instance(rng, n, k, extra)
-    else:
-        inst = graph_instance(rng, n, k, extra)
+    inst = rng.choice([euclidean_instance, graph_instance])(rng, n, k, extra)
     if mode == "free":
         pts = list(range(inst.space.num_points))
         size = rng.randint(1, len(pts))
@@ -125,40 +122,43 @@ def block_edges(n, k):
     return edges
 
 
+def _euclidean_metric(rng, n, k):
+    coords = [[round(rng.uniform(0, 1), 9), round(rng.uniform(0, 1), 9)] for _ in range(n)]
+    return {"type": "points", "dim": 2, "coords": coords, "norm": "l2"}
+
+
+def _graph_metric(rng, n, k):
+    return {"type": "graph", "nodes": n, "edges": [list(e) for e in _graph_edges(rng, n)]}
+
+
+def _blocks_metric(rng, n, k):
+    return {"type": "graph", "nodes": n, "edges": block_edges(n, k)}
+
+
+# The one list of generate_family's families: each one's metric and the
+# least n and k it takes.
+_FAMILY_METRICS = {
+    "euclidean": (_euclidean_metric, 1),
+    "graph": (_graph_metric, 1),
+    "blocks": (_blocks_metric, 2),
+}
+FAMILIES = tuple(_FAMILY_METRICS)
+
+
 def generate_family(family, n, k, seed):
     """CLI entry: deterministic InstanceFile dict for a family.  Sizes that
     are not ints (bools included) or make no valid instance raise
     ValueError (blocks needs two blocks)."""
     n, k = _as_id(n, "n"), _as_id(k, "k")
-    low = 2 if family == "blocks" else 1
+    metric, low = _FAMILY_METRICS[family] if family in FAMILIES else (None, 1)
     for name, value in (("n", n), ("k", k)):
         if value < low:
             raise ValueError(f"{family} needs {name} >= {low}, got {value}")
-    rng = random.Random(seed)
-    if family == "euclidean":
-        coords = [
-            [round(rng.uniform(0, 1), 9), round(rng.uniform(0, 1), 9)]
-            for _ in range(n)
-        ]
-        return {
-            "metric": {"type": "points", "dim": 2, "coords": coords, "norm": "l2"},
-            "agents": list(range(n)),
-            "candidates": "all",
-            "k": k,
-        }
-    if family == "graph":
-        edges = [[u, v, w] for u, v, w in _graph_edges(rng, n)]
-        return {
-            "metric": {"type": "graph", "nodes": n, "edges": edges},
-            "agents": list(range(n)),
-            "candidates": "all",
-            "k": k,
-        }
-    if family == "blocks":
-        return {
-            "metric": {"type": "graph", "nodes": n, "edges": block_edges(n, k)},
-            "agents": list(range(n)),
-            "candidates": "all",
-            "k": k,
-        }
-    raise ValueError(f"unknown family {family!r}")
+    if metric is None:
+        raise ValueError(f"unknown family {family!r}")
+    return {
+        "metric": metric(random.Random(seed), n, k),
+        "agents": list(range(n)),
+        "candidates": "all",
+        "k": k,
+    }

@@ -2,9 +2,10 @@
 
 Values are numbers (int, Fraction, float), ``math.inf``, or the strings
 ``"pass"`` / ``"violation"`` for the threshold axioms.  Fractions round-trip
-through JSON as ``[num, den]`` pairs and infinity as the string ``"inf"``,
-so reports serialize byte-identically across runs.  A report's one encoding
-is the text ``AuditReport.to_json_str`` writes; ``to_json`` parses it.
+through JSON as ``[num, den]`` pairs and infinity as the string ``"inf"``
+(-inf has no encoding and raises ValueError), so reports serialize
+byte-identically across runs.  A report's one encoding is the text
+``AuditReport.to_json_str`` writes; ``to_json`` parses it.
 """
 
 from __future__ import annotations
@@ -75,7 +76,9 @@ def encode_value(v):
     if v is None or isinstance(v, (int, str)):
         return v
     if isinstance(v, float):
-        return "inf" if math.isinf(v) else v
+        if v == -math.inf:
+            raise ValueError("cannot encode -inf: infinity is written only as +inf")
+        return "inf" if v == math.inf else v
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return v.numerator
@@ -100,7 +103,8 @@ _str = json.encoder.encode_basestring_ascii
 
 def _write(v):
     """The JSON text of ``encode_value(v)``; a type without a form of its
-    own, such as a subclass, goes through ``encode_value`` and ``json``."""
+    own, such as a subclass, and -inf go through ``encode_value`` and
+    ``json``."""
     t = type(v)
     if t is int:
         return repr(v)
@@ -114,8 +118,8 @@ def _write(v):
         if v.denominator == 1:
             return repr(v.numerator)
         return f"[{v.numerator!r}, {v.denominator!r}]"
-    if t is float:
-        if math.isinf(v):
+    if t is float and v != -math.inf:
+        if v == math.inf:
             return '"inf"'
         return "NaN" if v != v else repr(v)
     return json.dumps(encode_value(v))

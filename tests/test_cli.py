@@ -300,6 +300,78 @@ def test_flags_a_notion_or_rule_never_reads_exit2(tmp_path, capsys, argv, flag, 
     assert json.loads(captured.err) == {"error": f"{flag} does not apply to {name}"}
 
 
+# The optional flags each notion and rule reads, written out here rather
+# than read from the cli's tables.
+NOTION_READS = {
+    "pf": (),
+    "if": (),
+    "tc": ("gamma",),
+    "qcore": ("q", "cap"),
+    "qif": ("q",),
+    "qtc": ("gamma", "q", "cap"),
+    "rank-jr": (),
+    "rank-pjr": (),
+    "rank-pjr+": (),
+    "dprf": (),
+    "uprf": (),
+}
+RULE_READS = {"gc": (), "ea": (), "fgc": ("q", "seed"), "gc-restricted": (), "ea-restricted": ()}
+FLAG_VALUES = {"gamma": "3/2", "q": "2", "cap": "3", "seed": "5"}
+MATRIX = [
+    ("audit", "--notion", notion, flag, flag in reads)
+    for notion, reads in NOTION_READS.items()
+    for flag in ("gamma", "q", "cap")
+] + [
+    ("solve", "--alg", rule, flag, flag in reads)
+    for rule, reads in RULE_READS.items()
+    for flag in ("q", "seed")
+]
+
+
+@pytest.mark.parametrize("command, key, name, flag, read", MATRIX)
+def test_every_flag_is_read_or_exits2(fig3a_file, tmp_path, capsys, command, key, name, flag, read):
+    inst_path, labels = fig3a_file
+    w_path = write(tmp_path, "w.json", {"W": sorted(labels[x] for x in ("1", "2", "3", "6"))})
+    files = ("--input", inst_path) + (("--outcome", w_path) if command == "audit" else ())
+    code = run_cli(command, key, name, f"--{flag}", FLAG_VALUES[flag], *files)
+    captured = capsys.readouterr()
+    unread = {"error": f"--{flag} does not apply to {name}"}
+    if not read:
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == unread
+    elif (name, flag) == ("fgc", "seed"):
+        assert code == 2
+        assert json.loads(captured.err) == {"error": "fgc needs --q"}
+    else:
+        assert code in (0, 1)
+        assert captured.err == ""
+        assert json.loads(captured.out)
+
+
+def test_an_unreadable_input_is_reported_before_a_missing_q(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert run_cli("solve", "--alg", "fgc", "--input", missing) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file or directory" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize(
+    "command, choices",
+    [
+        ("solve", "--alg {gc,ea,fgc,gc-restricted,ea-restricted}"),
+        ("audit", "--notion {pf,if,tc,qcore,qif,qtc,rank-jr,rank-pjr,rank-pjr+,dprf,uprf}"),
+        ("gen", "--family {euclidean,graph,blocks}"),
+    ],
+)
+def test_choices_order(capsys, command, choices):
+    with pytest.raises(SystemExit) as done:
+        run_cli(command, "--help")
+    assert done.value.code == 0
+    assert choices in capsys.readouterr().out
+
+
 def test_solve_non_integral_ids_exit2(tmp_path, capsys):
     base = generate_family("graph", 4, 2, 0)
     edges = base["metric"]["edges"]

@@ -76,7 +76,7 @@ HAND_BUILT = [
     AuditReport("tc", {"gamma": Fraction(4, 2)}, Fraction(8, 2), Witness((1,), (0,), 1)),
     AuditReport("pf", {}, 1.25, Witness((3,), (), None, 0.5)),
     AuditReport("if", {}, math.inf, Witness((0,), (), 2, Fraction(1, 3))),
-    AuditReport("if", {}, -math.inf, None),
+    AuditReport("if", {}, -1e300, None),
     AuditReport("pf", {}, math.nan, None),
     AuditReport("qtc", {"gamma": 2.5, "q": 2, "size_cap": None}, 3, None, CAP_EXHAUSTED),
     AuditReport("uprf", {}, PASS, None, CAP_EXHAUSTED),
@@ -127,5 +127,21 @@ def test_unsupported_values_raise_the_encode_value_error(bad):
         AuditReport("pf", {}, 1, Witness(agents=bad)),
     ):
         with pytest.raises(TypeError) as got:
+            report.to_json_str()
+        assert str(got.value) == str(expected.value)
+
+
+def test_minus_infinity_raises_the_encode_value_error():
+    # "inf" is +inf only: writing -inf as it would flip its sign on decoding
+    with pytest.raises(ValueError) as expected:
+        encode_value(-math.inf)
+    for report in (
+        AuditReport("if", {}, -math.inf, None),
+        AuditReport("if", {"gamma": -math.inf}, 1, None),
+        AuditReport("if", {}, 1, Witness(threshold_y=-math.inf)),
+        AuditReport("if", {}, 1, Witness(candidates=(1, -math.inf))),
+        AuditReport("dprf", {}, VIOLATION, RankViolation("dprf", -math.inf, 1, (0,))),
+    ):
+        with pytest.raises(ValueError) as got:
             report.to_json_str()
         assert str(got.value) == str(expected.value)
