@@ -24,8 +24,15 @@ All three walk a threshold sweep that the instance sorted once,
 ``d <= delta``).  A ball's count of uncaptured agents, or sum of budgets,
 only falls while the ball does not grow, so the rules re-check only grown
 balls, in one ascending pass: a ball that fails stays failed at that
-threshold.  Capture events take delta from the distance table, so a matrix
-mixing ``0`` and ``0.0`` traces the value stored.
+threshold.  The capture rules re-count a grown ball off its mask
+(``_growing_masks``).  Expanding approvals reads the entering pairs
+(``_entering_pairs``) and keeps each candidate's ball budget as a running
+sum: an agent's budget is added as it enters a ball, and each deduction is
+subtracted from every ball that holds the agent, which a per-agent list of
+candidates names.  So a threshold costs only the pairs that enter at it,
+and only a ball whose sum reached n as it grew is checked.  Capture events
+take delta from the distance table, so a matrix mixing ``0`` and ``0.0``
+traces the value stored.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import Instance, Outcome, _bits, _growing_masks, quota
+from .instance import Instance, Outcome, _bits, _entering_pairs, _growing_masks, quota
 from .metric import _as_id
 from .reports import encode_value
 
@@ -156,17 +163,29 @@ def expanding_approvals(instance, deduct_order=None):
     sweep = instance.approval_sweep
     budgets = [k] * n  # in units of 1/n: an opening costs n
     funded = n  # agents with a positive budget
+    sums = [0] * sweep.width  # per candidate, the budget its ball holds
+    holders = [[] for _ in range(n)]  # per agent, the candidates whose balls hold it
     opened = []
     events = []
-    for delta, (balls, _, grew) in zip(sweep.ys, _growing_masks(sweep)):
+    for delta, pairs in zip(sweep.ys, _entering_pairs(sweep)):
         if len(opened) == k:
             break
-        for j in _bits(grew):
+        # a sum only falls within a threshold, so only a ball whose sum
+        # reached n as it grew can open at it
+        reached = []
+        for j, i in pairs:
+            sums[j] += budgets[i]
+            holders[i].append(j)
+            if sums[j] >= n:
+                reached.append(j)
+        if not reached:
+            continue
+        for j in sorted(set(reached)):
             if len(opened) == k:
                 break
-            ball = _bits(balls[j])
-            if j in opened or sum(budgets[i] for i in ball) < n:
+            if j in opened or sums[j] < n:
                 continue
+            ball = [i for i, held in enumerate(holders) if j in held]
             opened.append(j)
             events.append(TraceEvent(delta=delta, kind="open", candidate=j, remaining=funded))
             need = n
@@ -177,6 +196,8 @@ def expanding_approvals(instance, deduct_order=None):
                 if take > 0:
                     budgets[i] -= take
                     need -= take
+                    for c in holders[i]:
+                        sums[c] -= take
                     if budgets[i] == 0:
                         funded -= 1
                     events.append(

@@ -9,7 +9,7 @@ threshold list is equivalent to auditing all real y.
 All five axioms run through one incremental scan.  Each instance sorts
 the entries of its distance tables once, in ``Instance.approval_sweep``
 and ``Instance.proximity_sweep``, and every call replays that order through
-``instance._growing_masks``, which the clustering rules read too, OR-ing
+``instance._growing_masks``, which the capture rules read too, OR-ing
 the pairs into the approval or adjacency masks as the threshold grows: an
 agent approves a candidate at threshold y when their distance d has
 ``d <= y``.  A center's ball is its approval mask, read straight off a

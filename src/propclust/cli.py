@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-from . import algorithms, audit_multi, audit_rank, audit_single, fixtures
+from . import algorithms, audit_multi, audit_rank, audit_single
 from .generate import FAMILIES, generate_family
 from .instance import Instance, Outcome, validate
 from .metric import MetricSpace, _as_distance, _as_id
@@ -184,6 +184,8 @@ def cmd_audit(args):
 
 
 def _evaluate_case(case):
+    from . import fixtures  # only repro reads the paper's fixtures
+
     if case.fixture == "qtc_blocks":
         instance, labels, outcome = fixtures.qtc_blocks()
     else:
@@ -220,6 +222,8 @@ def _evaluate_case(case):
 def cmd_repro(args):
     # accept parameterized spellings like "fig4a(alpha=2)"; the embedded
     # corpus carries each fixture at its reference parameters
+    from . import fixtures
+
     wanted = args.case.split("(")[0]
     rows = []
     all_match = True

@@ -146,16 +146,16 @@ FAMILIES = tuple(_FAMILY_METRICS)
 
 
 def generate_family(family, n, k, seed):
-    """CLI entry: deterministic InstanceFile dict for a family.  Sizes that
-    are not ints (bools included) or make no valid instance raise
-    ValueError (blocks needs two blocks)."""
+    """CLI entry: deterministic InstanceFile dict for a family.  An unknown
+    family, then sizes that are not ints (bools included) or make no valid
+    instance, raise ValueError (blocks needs two blocks)."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    metric, low = _FAMILY_METRICS[family]
     n, k = _as_id(n, "n"), _as_id(k, "k")
-    metric, low = _FAMILY_METRICS[family] if family in FAMILIES else (None, 1)
     for name, value in (("n", n), ("k", k)):
         if value < low:
             raise ValueError(f"{family} needs {name} >= {low}, got {value}")
-    if metric is None:
-        raise ValueError(f"unknown family {family!r}")
     return {
         "metric": metric(random.Random(seed), n, k),
         "agents": list(range(n)),

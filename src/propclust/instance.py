@@ -9,9 +9,10 @@ The threshold sweep that every rule and auditor reads lives here too.
 ``_sweep`` builds one from a distance table by sorting the table's flat
 indices once, into compact arrays: an instance builds ``approval_sweep``
 (whose ``ys`` are the approval thresholds) from its agent-candidate table
-and ``proximity_sweep`` from its agent-agent table, and ``_growing_masks``
-replays a sorted order on every call, counting a distance d as within a
-threshold y when ``d <= y``.
+and ``proximity_sweep`` from its agent-agent table.  ``_entering_pairs``
+replays a sorted order on every call, yielding at each threshold y the
+pairs that came within it (a distance d is within y when ``d <= y``), and
+``_growing_masks`` ORs those pairs into one bitmask per row.
 The rank audits' cover-set templates (``cover_sets``) are built once per
 instance too, one ell at a time, the first time a scan reads them.  One
 map, ``candidate_at_point``, answers which candidate stands at a point.
@@ -230,34 +231,47 @@ def _sweep(table, *first):
     return Sweep(tuple(ys), width, rows, bits, array("q", [bisect_right(dists, y) for y in ys]))
 
 
-def _growing_masks(sweep, ys=None):
-    """Yield ``(masks, entered, grew)`` at each threshold y of the
-    ascending ``ys`` (``sweep.ys`` when None): the ``sweep.width`` bitmasks,
-    mask ``row`` holding ``bit`` for every pair with ``d <= y``;
-    ``entered``, the OR of ``1 << bit`` over the pairs that came within y
-    since the previous threshold; and ``grew``, the OR of ``1 << row`` over
-    the rows those pairs went to.  A sweep can be read at any ascending
-    ``ys``, since every pair's distance is one of its own thresholds.
+def _entering_pairs(sweep, ys=None):
+    """Yield, at each threshold y of the ascending ``ys`` (``sweep.ys``
+    when None), an iterator over the ``(row, bit)`` pairs that came within
+    y since the previous threshold, that is the pairs with ``d <= y`` not
+    yielded before, in the sorted order.  A sweep can be read at any
+    ascending ``ys``, since every pair's distance is one of its own
+    thresholds.
 
-    Every rule and auditor that sweeps thresholds reads its masks here,
-    replaying the order the instance sorted once.  One list is updated in
-    place and yielded at every threshold, so a caller must copy out what it
-    keeps past the next one.
+    This is the one replay of the order the instance sorted once; every
+    rule and auditor that sweeps thresholds reads it, most through
+    ``_growing_masks``.  The iterators share one stream, so a caller must
+    read each to its end before drawing the next.
     """
     ends = sweep.ends
     if ys is not None:
         ends = [ends[s - 1] if s else 0 for s in (bisect_right(sweep.ys, y) for y in ys)]
-    masks = [0] * sweep.width
     pairs = zip(sweep.rows, sweep.bits)
     start = 0
     for end in ends:
+        yield islice(pairs, end - start)
+        start = end
+
+
+def _growing_masks(sweep, ys=None):
+    """Yield ``(masks, entered, grew)`` at each threshold of
+    ``_entering_pairs(sweep, ys)``: the ``sweep.width`` bitmasks, mask
+    ``row`` holding ``bit`` for every pair with ``d <= y``; ``entered``,
+    the OR of ``1 << bit`` over the pairs that entered at the threshold;
+    and ``grew``, the OR of ``1 << row`` over the rows those pairs went to.
+
+    One list is updated in place and yielded at every threshold, so a
+    caller must copy out what it keeps past the next one.
+    """
+    masks = [0] * sweep.width
+    for pairs in _entering_pairs(sweep, ys):
         entered = grew = 0
-        for row, bit in islice(pairs, end - start):
+        for row, bit in pairs:
             b = 1 << bit
             masks[row] |= b
             entered |= b
             grew |= 1 << row
-        start = end
         yield masks, entered, grew
 
 

@@ -136,15 +136,18 @@ class MetricSpace:
         space = cls(d, "matrix")
         room = 0 if space.exact else 4 * sys.float_info.epsilon
         rowmax = [max(r) for r in d]
-        # exhaustive triangle check; the inner max over k runs in C, and the
-        # allowance is consulted only past d_ij itself
+        # exhaustive triangle check, each unordered pair once: neither
+        # max_k (d_ik - d_jk) nor max_k (d_jk - d_ik), minus the min of the
+        # same differences, may pass d_ij; the max and min run in C, and
+        # the allowance is consulted only past d_ij itself
         for j in range(n):
             dj = d[j]
-            for i in range(n):
+            for i in range(j):
                 di = d[i]
-                excess = max(map(sub, di, dj))
+                diffs = list(map(sub, di, dj))
+                excess = max(max(diffs), -min(diffs))
                 if excess > di[j] and excess > di[j] + room * max(rowmax[i], rowmax[j]):
-                    k = max(range(n), key=lambda x: di[x] - dj[x])
+                    i, j, k = _first_failure(d, rowmax, room)
                     raise ValueError(f"triangle inequality fails at ({i},{j},{k})")
         return space
 
@@ -199,6 +202,20 @@ class MetricSpace:
     def dist(self, a, b):
         """Metric distance between two point ids."""
         return self._d[a][b]
+
+
+def _first_failure(d, rowmax, room):
+    """The failing triangle ``(i, j, k)`` that an ordered scan, j-major,
+    meets first: d_ik passes d_ij + d_jk by more than the allowance.
+    ``from_matrix`` runs it only once a failure is known, to name it."""
+    n = len(d)
+    for j in range(n):
+        dj = d[j]
+        for i in range(n):
+            di = d[i]
+            excess = max(map(sub, di, dj))
+            if excess > di[j] and excess > di[j] + room * max(rowmax[i], rowmax[j]):
+                return i, j, max(range(n), key=lambda x: di[x] - dj[x])
 
 
 def _dijkstra(adj, source):

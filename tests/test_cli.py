@@ -88,6 +88,12 @@ def test_generate_family_rejects_non_int_sizes(family, name, value):
         generate_family(family, sizes["n"], sizes["k"], 1)
 
 
+@pytest.mark.parametrize("n, k", [(0, 2), (4, 0), (True, 2), (4, "3")])
+def test_generate_family_names_an_unknown_family_before_the_sizes(n, k):
+    with pytest.raises(ValueError, match="^unknown family 'bogus'$"):
+        generate_family("bogus", n, k, 1)
+
+
 @pytest.mark.parametrize(
     "args, bad", [((1, 8, 4), "max_n must be >= 2"), ((8, 8, 0), "max_k must be >= 1")]
 )
@@ -484,6 +490,15 @@ def test_cli_entrypoint_subprocess(tmp_path, child_env):
     assert proc.stderr == ""
     rows = json.loads(proc.stdout)
     assert all(r["match"] for r in rows)
+
+
+def test_importing_the_cli_leaves_the_fixtures_unloaded(child_env):
+    # gen, solve and audit never read the paper's fixtures; only repro does
+    code = "import sys, propclust.cli; print('propclust.fixtures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_report_value_round_trip():

@@ -10,7 +10,7 @@ from propclust import algorithms, audit_rank, fixtures
 from propclust.cli import NUMERIC_NOTIONS, RANK_NOTIONS, parse_instance, run_audit
 from propclust.fixtures import outcome_of
 from propclust.generate import generate_family
-from propclust.instance import _growing_masks, _sweep
+from propclust.instance import _entering_pairs, _growing_masks, _sweep
 
 
 def test_quota_examples():
@@ -199,6 +199,13 @@ def test_sweep_builds_from_a_non_square_table():
         ([0b11, 0b11, 0b11], 0b01, 0b100),
     ]
     assert [(list(m), e, g) for m, e, g in _growing_masks(sweep)] == expected
+    # the (row, bit) pairs that enter at each threshold, in the sorted order
+    assert [list(pairs) for pairs in _entering_pairs(sweep)] == [
+        [(1, 0), (0, 1)],
+        [(2, 1)],
+        [(0, 0), (1, 1)],
+        [(2, 0)],
+    ]
     for y, (masks, _, _) in zip(sweep.ys, expected):
         assert masks == [
             sum(1 << bit for bit, row in enumerate(table) if row[r] <= y) for r in range(3)
@@ -222,6 +229,8 @@ def test_sweep_first_values_win_and_any_ys_reads():
         ([0b11, 0b11, 0b11], 0b01, 0b100),
     ]
     assert list(_growing_masks(sweep, [])) == []
+    read = [list(pairs) for pairs in _entering_pairs(sweep, [-1, 0.5, 3, 9])]
+    assert read == [[], [(1, 0), (0, 1)], [(2, 1), (0, 0), (1, 1)], [(2, 0)]]
 
 
 def _fresh_masks(size, pairs, ys):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,51 @@ def test_matrix_validation():
             [1e-12, 1e-12, 1.000000000001, 0],
         ]
     )
+
+
+def _ordered_triangle_failure(rows):
+    """The triangle check as a literal ordered scan: the first (i, j, k),
+    j-major, with d_ik - d_jk past d_ij and the float allowance."""
+    n = len(rows)
+    exact = not any(isinstance(x, float) for row in rows for x in row)
+    room = 0 if exact else 4 * sys.float_info.epsilon
+    for j in range(n):
+        for i in range(n):
+            slack = room * max(max(rows[i]), max(rows[j]))
+            for k in range(n):
+                excess = rows[i][k] - rows[j][k]
+                if excess > rows[i][j] and excess > rows[i][j] + slack:
+                    k = max(range(n), key=lambda x: rows[i][x] - rows[j][x])
+                    return f"triangle inequality fails at ({i},{j},{k})"
+    return None
+
+
+def test_matrix_triangle_failure_names_the_ordered_scans_triple():
+    # the check reads each unordered pair once, and must still name the
+    # triple that the ordered scan finds first
+    rng = random.Random(11)
+    failures = 0
+    for _ in range(800):
+        n = rng.randint(1, 8)
+        kind = rng.choice(["int", "fraction", "float"])
+        rows = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                d = rng.randint(1, 6)
+                if kind == "fraction":
+                    d = Fraction(d, rng.randint(1, 3))
+                elif kind == "float":
+                    d = d / 3
+                rows[a][b] = rows[b][a] = d
+        want = _ordered_triangle_failure(rows)
+        try:
+            MetricSpace.from_matrix(rows)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        failures += want is not None
+    assert 200 < failures < 700
 
 
 def test_points_norms():

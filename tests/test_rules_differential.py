@@ -10,13 +10,18 @@ one whose ball holds a unit of budget, and restarts from the lowest index.
 Centers and serialized traces must agree, for expanding approvals under
 two deduction orders and in restricted mode too, on random instances and
 on small matrices mixing int and float distances, where a traced delta of
-``0`` against ``0.0`` shows in the JSON.
+``0`` against ``0.0`` shows in the JSON.  Expanding approvals keeps a
+running budget sum per ball, so it is also checked at 24 to 40 agents
+with ties everywhere, and pinned by a digest at 160 agents, where the
+plain copy is too slow to run.
 """
 
+import hashlib
 import heapq
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from unittest.mock import patch
 
 from propclust import (
@@ -29,7 +34,8 @@ from propclust import (
     restricted_solve,
 )
 from propclust.algorithms import Trace, TraceEvent, closest_first_order
-from propclust.generate import random_instance
+from propclust.cli import parse_instance
+from propclust.generate import generate_family, random_instance
 from propclust.instance import Outcome, quota
 
 
@@ -216,3 +222,63 @@ def test_rules_match_the_plain_sweep_on_mixed_int_float_matrices():
     rng = random.Random(7)
     for _ in range(500):
         _check(_mixed_instance(rng), seeds=(0, 1, 2, 3))
+
+
+def _ea_instance(rng, family):
+    """24 to 40 agents: euclidean points, on a 4 x 4 grid half the time so
+    that many coincide, or a graph whose edges weigh 0 to 3, so that
+    zero-weight edges co-locate their ends.  Some agents are repeated, and
+    four points are candidates only."""
+    npts = rng.randint(20, 30) + 4
+    if family == "euclidean":
+        if rng.random() < 0.5:
+            coords = [[rng.randrange(4) / 3, rng.randrange(4) / 3] for _ in range(npts)]
+        else:
+            coords = [[rng.random(), rng.random()] for _ in range(npts)]
+        space = MetricSpace.from_points(coords)
+    else:
+        edges = [(rng.randrange(v), v, rng.randint(0, 3)) for v in range(1, npts)]
+        edges += [(rng.randrange(v), v, rng.randint(0, 3)) for v in rng.sample(range(1, npts), 8)]
+        space = MetricSpace.from_graph(npts, edges)
+    agents = list(range(npts - 4))
+    agents += [rng.randrange(npts - 4) for _ in range(rng.randint(4, 10))]
+    rng.shuffle(agents)
+    return Instance(space, agents, "all", rng.randint(2, 8))
+
+
+def test_expanding_approvals_matches_the_plain_sweep_at_24_to_40_agents():
+    rng = random.Random(25)
+    for family in ("euclidean", "graph"):
+        for _ in range(12):
+            inst = _ea_instance(rng, family)
+            assert 24 <= inst.n <= 40
+            for order in (None, farthest_first):
+                _same(expanding_approvals(inst, order), plain_expanding_approvals(inst, order))
+                runs = []
+                for rule in (expanding_approvals, plain_expanding_approvals):
+                    with patch.object(
+                        algorithms, "expanding_approvals", partial(rule, deduct_order=order)
+                    ):
+                        runs.append(restricted_solve(inst, "ea"))
+                _same(*runs)
+
+
+# Recorded before expanding approvals kept a running budget sum per ball,
+# when each grown ball re-summed its agents' budgets at every threshold.
+RECORDED_EA_AT_SCALE_DIGEST = "a1be12e4b210509e4ad5eab4443c17dc0bb9c619620fcead71068d21d625ed3c"
+
+
+def test_expanding_approvals_at_160_agents_byte_identical():
+    records = []
+    for family in ("euclidean", "graph"):
+        inst = parse_instance(generate_family(family, 160, 5, 1))
+        runs = (
+            ("ea", lambda: expanding_approvals(inst)),
+            ("ea-far", lambda: expanding_approvals(inst, farthest_first)),
+            ("ea-restricted", lambda: restricted_solve(inst, "ea")),
+        )
+        for tag, run in runs:
+            outcome, trace = run()
+            records.append([family, tag, sorted(outcome.centers), outcome.origin, trace.to_json()])
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_EA_AT_SCALE_DIGEST
