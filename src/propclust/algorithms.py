@@ -25,14 +25,17 @@ All three walk a threshold sweep that the instance sorted once,
 only falls while the ball does not grow, so the rules re-check only grown
 balls, in one ascending pass: a ball that fails stays failed at that
 threshold.  The capture rules re-count a grown ball off its mask
-(``_growing_masks``).  Expanding approvals reads the entering pairs
+(``_growing_masks``); greedy capture's absorb step, too, walks only the
+open balls that grew, since a threshold leaves no uncaptured agent in an
+open ball.  Expanding approvals reads the entering pairs
 (``_entering_pairs``) and keeps each candidate's ball budget as a running
 sum: an agent's budget is added as it enters a ball, and each deduction is
 subtracted from every ball that holds the agent, which a per-agent list of
 candidates names.  So a threshold costs only the pairs that enter at it,
 and only a ball whose sum reached n as it grew is checked.  Capture events
 take delta from the distance table, so a matrix mixing ``0`` and ``0.0``
-traces the value stored.
+traces the value stored.  Restricted mode runs gc or ea on the sub-instance
+that each instance builds once (``Instance.restricted``).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import Instance, Outcome, _bits, _entering_pairs, _growing_masks, quota
+from .instance import Outcome, _bits, _entering_pairs, _growing_masks, quota
 from .metric import _as_id
 from .reports import encode_value
 
@@ -100,16 +103,18 @@ def greedy_capture(instance):
     table = instance.dist_rows
     remaining = (1 << n) - 1
     opened = []
+    open_mask = 0
     events = []
     for balls, _, grew in _growing_masks(instance.approval_sweep):
         for j in _bits(grew):
             if len(opened) == k or remaining.bit_count() < m:
                 break
             ball = balls[j] & remaining
-            if j in opened or ball.bit_count() < m:
+            if open_mask >> j & 1 or ball.bit_count() < m:
                 continue
             remaining ^= ball
             opened.append(j)
+            open_mask |= 1 << j
             captured = tuple(_bits(ball))
             events.append(
                 TraceEvent(
@@ -120,8 +125,11 @@ def greedy_capture(instance):
                     remaining=remaining.bit_count(),
                 )
             )
+        # an open ball that did not grow holds no uncaptured agent, as the
+        # previous threshold absorbed them all (and a center opened here is
+        # in grew), so the lowest-index open ball holding one is a grown one
         owner = {}
-        for w in sorted(opened):
+        for w in _bits(grew & open_mask):
             for i in _bits(balls[w] & remaining):
                 owner.setdefault(i, w)
         for i in sorted(owner):
@@ -287,6 +295,9 @@ def fair_greedy_capture(instance, q, seed):
 def restricted_solve(instance, rule):
     """Run a rule with the candidate set narrowed to the agents' points.
 
+    The rule runs on the instance's cached sub-instance
+    (``Instance.restricted``), built on the first call and shared by both
+    rules, so only the run and the remapping of its trace are per call.
     The returned outcome refers to the original candidate indices and is
     tagged restricted.  Useful when the full candidate set is large: the
     narrowed run keeps constant-factor fairness on the full instance.
@@ -295,23 +306,20 @@ def restricted_solve(instance, rule):
         raise ValueError(f"unknown rule {rule!r}")
     if not instance.agents_within_candidates():
         raise ValueError("restricted mode needs agents inside the candidate set")
-    # first-appearance order: it sets the sub-instance's tie-breaks
-    agent_points = tuple(dict.fromkeys(instance.agents))
-    sub = Instance(instance.space, instance.agents, agent_points, instance.k)
+    sub, parent = instance.restricted
     if rule == "gc":
         out, trace = greedy_capture(sub)
     else:
         out, trace = expanding_approvals(sub)
-    remap = {j: instance.candidate_at_point[p] for j, p in enumerate(agent_points)}
-    centers = frozenset(remap[j] for j in out.centers)
-    # remap.get keeps a missing candidate or center as None
+    centers = frozenset(parent[j] for j in out.centers)
+    # parent.get keeps a missing candidate or center as None
     events = tuple(
         TraceEvent(
             e.delta,
             e.kind,
-            remap.get(e.candidate),
+            parent.get(e.candidate),
             e.agent,
-            remap.get(e.center),
+            parent.get(e.center),
             e.amount,
             e.captured,
             e.remaining,

@@ -15,7 +15,9 @@ pairs that came within it (a distance d is within y when ``d <= y``), and
 ``_growing_masks`` ORs those pairs into one bitmask per row.
 The rank audits' cover-set templates (``cover_sets``) are built once per
 instance too, one ell at a time, the first time a scan reads them.  One
-map, ``candidate_at_point``, answers which candidate stands at a point.
+map, ``candidate_at_point``, answers which candidate stands at a point,
+and restricted mode's sub-instance (``restricted``) is built once through
+it, so its own tables are too.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ class Instance:
     ``int_rows``, the agent-by-agent distances ``agent_rows``, the two
     sorted threshold sweeps ``approval_sweep`` and ``proximity_sweep``, the
     lowest candidate index at each candidate point ``candidate_at_point``,
+    restricted mode's sub-instance and its candidate map ``restricted``,
     and the rank audits' cover-set templates ``cover_sets(size, ell)``,
     built once per center count and ell.
     ``d_ac`` and ``d_aa`` read the metric space directly; the brute-force
@@ -187,6 +190,19 @@ class Instance:
         for idx, c in enumerate(self.candidates):
             at.setdefault(c, idx)
         return at
+
+    @cached_property
+    def restricted(self):
+        """Restricted mode's ``(sub, parent)``: the sub-instance whose
+        candidates are the agents' points, in first-appearance order (which
+        sets its tie-breaks), and the map from its candidate indices to the
+        lowest candidate index at each point in this instance.  Built once,
+        so gc and ea in restricted mode share the sub-instance's tables.
+        Needs every agent on a candidate point (KeyError otherwise)."""
+        points = tuple(dict.fromkeys(self.agents))
+        at = self.candidate_at_point
+        parent = {j: at[p] for j, p in enumerate(points)}
+        return Instance(self.space, self.agents, points, self.k), parent
 
     def agents_within_candidates(self):
         """True when every agent sits on some candidate point (N inside C)."""

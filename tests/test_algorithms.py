@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
@@ -15,7 +17,7 @@ from propclust import (
     rank_pjr_plus_check,
     restricted_solve,
 )
-from propclust import fixtures
+from propclust import fixtures, instance as instance_module
 from propclust.generate import random_instance
 from propclust import pf_min_alpha, q_core_min_alpha
 
@@ -265,6 +267,23 @@ def test_restricted_requires_agents_within_candidates():
         restricted_solve(inst, "gc")
     with pytest.raises(ValueError):
         restricted_solve(inst, "bogus")
+
+
+def test_restricted_builds_one_sub_instance_per_instance():
+    # gc then ea in restricted mode sort one sub-instance sweep between
+    # them, and read the same as on fresh copies with empty caches
+    inst = _colocated_instance((4, 2, 0, 2, 3, 1, 0, 3, 1), 2)
+    with patch.object(instance_module, "_sweep", wraps=instance_module._sweep) as sweep:
+        runs = [restricted_solve(inst, rule) for rule in ("gc", "ea")]
+    assert sweep.call_count == 1
+    for rule, (out, trace) in zip(("gc", "ea"), runs):
+        fresh_out, fresh_trace = restricted_solve(dataclasses.replace(inst), rule)
+        assert out == fresh_out
+        assert trace.to_json() == fresh_trace.to_json()
+    outside = Instance(MetricSpace.from_matrix([[0, 1], [1, 0]]), (0,), (1,), 1)
+    with pytest.raises(ValueError, match="restricted mode needs agents inside the candidate set"):
+        restricted_solve(outside, "gc")
+    assert "restricted" not in vars(outside)
 
 
 def test_restricted_gc_three_proportional():

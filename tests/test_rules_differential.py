@@ -11,9 +11,11 @@ Centers and serialized traces must agree, for expanding approvals under
 two deduction orders and in restricted mode too, on random instances and
 on small matrices mixing int and float distances, where a traced delta of
 ``0`` against ``0.0`` shows in the JSON.  Expanding approvals keeps a
-running budget sum per ball, so it is also checked at 24 to 40 agents
-with ties everywhere, and pinned by a digest at 160 agents, where the
-plain copy is too slow to run.
+running budget sum per ball, and greedy capture absorbs only into grown
+open balls, so both are also checked at 24 to 40 agents with ties
+everywhere, directly and in restricted mode; expanding approvals is
+pinned by a digest at 160 agents too, where the plain copy is too slow to
+run.
 """
 
 import hashlib
@@ -224,7 +226,7 @@ def test_rules_match_the_plain_sweep_on_mixed_int_float_matrices():
         _check(_mixed_instance(rng), seeds=(0, 1, 2, 3))
 
 
-def _ea_instance(rng, family):
+def _tied_instance(rng, family):
     """24 to 40 agents: euclidean points, on a 4 x 4 grid half the time so
     that many coincide, or a graph whose edges weigh 0 to 3, so that
     zero-weight edges co-locate their ends.  Some agents are repeated, and
@@ -246,12 +248,16 @@ def _ea_instance(rng, family):
     return Instance(space, agents, "all", rng.randint(2, 8))
 
 
-def test_expanding_approvals_matches_the_plain_sweep_at_24_to_40_agents():
+def test_capture_and_approvals_match_the_plain_sweep_at_24_to_40_agents():
     rng = random.Random(25)
     for family in ("euclidean", "graph"):
         for _ in range(12):
-            inst = _ea_instance(rng, family)
+            inst = _tied_instance(rng, family)
             assert 24 <= inst.n <= 40
+            _same(greedy_capture(inst), plain_greedy_capture(inst))
+            with patch.object(algorithms, "greedy_capture", plain_greedy_capture):
+                plain = restricted_solve(inst, "gc")
+            _same(restricted_solve(inst, "gc"), plain)
             for order in (None, farthest_first):
                 _same(expanding_approvals(inst, order), plain_expanding_approvals(inst, order))
                 runs = []
