@@ -29,25 +29,32 @@ where an agent of it enters a ball of a center outside Y, and one that
 falls below its quota is dropped for good.  A failed search whose cover
 set and masks inside it are unchanged is not run again; the scan charges
 the nodes it charged last time, so a budget runs out exactly where
-re-running it would.  The uprf search does the same for each failed
-subtree whose edges are unchanged, within a search and across
-thresholds.  Each axiom supplies only a search inside one cover set, and
-the scan builds the violation from what it finds: rank-pjr and dprf look
-for ell candidates that a quota of the cover set all approve, rank-pjr+
-for one such unopened candidate, and uprf for a quota within the
-threshold of one another (an index-ordered branch-and-bound clique
-search).  rank-jr is exactly the ell = 1 row of rank-pjr+: the ell = 1
-cover set is the agents approving no center, and a center's approvers
-are never among them.
+re-running it would.  A search that does run picks up where the cover
+set's last one failed: the approval searches read only the columns that
+grew since, and uprf replays each failed subtree whose edges are
+unchanged, within a search and across thresholds.  Each axiom supplies
+only a search inside one cover set, and the scan builds the violation
+from what it finds: rank-pjr and dprf look for ell candidates that a
+quota of the cover set all approve, rank-pjr+ for one such unopened
+candidate, and uprf for a quota within the threshold of one another (an
+index-ordered branch-and-bound clique search).  rank-jr is exactly the
+ell = 1 row of rank-pjr+: the ell = 1 cover set is the agents approving
+no center, and a center's approvers are never among them.
 
 Every search is exact: a violating group always induces a (target, cover
 set) pair, and any pair found certifies a violation.  Each search is
-``search(masks, ell, m, umask, left, memo, entered) -> (hit, nodes
-charged)``, and only the scan subtracts from the budget.  The rank-jr and
-rank-pjr+ search reads at most |C| columns per cover set and is never
-charged, so their verdicts are always exact; the others charge one node
-per ell-set or clique node, replayed searches and subtrees included, and a
-"pass" returned after an exhausted node budget is flagged, never silent.
+``search(masks, ell, m, umask, left, memo, entered, grew) -> (hit, nodes
+charged)``, and only the scan subtracts from the budget.  A cover set is
+searched at the first threshold, where every non-empty column grew, and
+after that only where its last search failed, so a search may keep what
+it learned in the cover set's ``memo``: rank-pjr and dprf keep the
+cover set's frequent columns, those with a quota of its agents, and uprf
+its failed clique subtrees; the rank-jr and rank-pjr+ search keeps
+nothing.  The rank-jr and rank-pjr+ search reads at most |C| columns per
+cover set and is never charged, so their verdicts are always exact; the
+others charge one node per ell-set or clique node, replayed searches and
+subtrees included, and a "pass" returned after an exhausted node budget
+is flagged, never silent.
 """
 
 from __future__ import annotations
@@ -68,11 +75,14 @@ class Caps:
 
     It bounds only the exponential searches: the ell-sets of rank-pjr and
     dprf and the clique nodes of uprf.  ``search(masks, ell, m, umask,
-    left, memo, entered) -> (hit, nodes charged)`` returns what it charged
-    and only ``_threshold_scan`` subtracts from the budget.  The nodes
-    charged are those of the plain, unreplayed search: a replayed search
-    or clique subtree charges the nodes it charged when it ran.  Cover-set
-    upkeep (up to 2^|W| cover sets per threshold) is never charged.
+    left, memo, entered, grew) -> (hit, nodes charged)`` returns what it
+    charged and only ``_threshold_scan`` subtracts from the budget.  The
+    nodes charged are those of the plain search, run from scratch: a
+    replayed search or clique subtree charges the nodes it charged when it
+    ran, and the frequent columns that rank-pjr and dprf keep in ``memo``
+    change what they read, never which ell-sets they charge.  Cover-set
+    upkeep (up to 2^|W| cover sets per threshold) and the frequent-column
+    upkeep are never charged.
     """
 
     node_budget: int = 1_000_000
@@ -109,13 +119,15 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     good once it holds fewer than its quota m.  Recomputing
     a umask that lost no agent leaves it, and its replay, unchanged.
 
-    ``search(masks, ell, m, umask, left, memo, entered) -> (hit, nodes
-    charged)`` gets the sweep's ``width`` masks at the threshold, the cover
-    set's ell, quota m and agent mask, ``left``, the nodes still available,
-    the cover set's own dict ``memo`` and the threshold's ``entered`` bits.
-    Its hit is (group, witness candidates), the group as a bit mask of at
-    least m agents inside umask, or None; it may stop once it has charged
-    more than ``left``.  Only this scan subtracts from the budget, and it
+    ``search(masks, ell, m, umask, left, memo, entered, grew) -> (hit,
+    nodes charged)`` gets the sweep's ``width`` masks at the threshold, the
+    cover set's ell, quota m and agent mask, ``left``, the nodes still
+    available, the cover set's own dict ``memo``, the threshold's
+    ``entered`` bits and ``grew``, the ascending list of the candidates
+    whose balls grew at the threshold (empty for uprf, whose masks are the
+    agents' adjacency).  Its hit is (group, witness candidates), the group
+    as a bit mask of at least m agents inside umask, or None; it may stop
+    once it has charged more than ``left``.  Only this scan subtracts from the budget, and it
     reports ``cap_exhausted`` once that leaves less than 0, whatever the
     hit.  A search must read the masks only inside umask (``mask & umask``,
     or the masks of agents in umask), so it returns the same and charges
@@ -124,11 +136,15 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     sweep added no bit inside that umask: it charges the nodes the search
     charged last time, and runs out where the search would have.  So
     between two searches of a cover set, only the later threshold's
-    ``entered`` can have added bits inside the earlier one's umask.  The
-    uprf search relies on this to keep its failed subtrees in ``memo``
-    across thresholds; the other searches ignore ``memo`` and ``entered``.
-    The masks change in place at the next threshold, and the scan builds
-    the report, covered winners included, before that.
+    ``entered`` can have added bits inside the earlier one's umask, and
+    only its ``grew`` columns can have gained agents there.  Every cover
+    set is searched at the first threshold, where every non-empty column
+    is in ``grew``, and each later search of it follows a failed one.  So
+    a search may keep state in ``memo`` from one run to the next: uprf its
+    failed subtrees, rank-pjr and dprf their frequent columns; the
+    rank-jr and rank-pjr+ search reads only ``grew``.  The masks change in
+    place at the next threshold, and the scan builds the report, covered
+    winners included, before that.
     """
     centers = _checked_centers(instance, outcome)
     everyone = (1 << instance.n) - 1
@@ -142,19 +158,21 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     # an agent can leave a umask only at a threshold where a center's ball grew
     if sweep is instance.approval_sweep:
         walk = (
-            (masks, entered, masks, entered if grew & cmask else 0)
+            (masks, entered, grew, masks, entered if grew & cmask else 0)
             for masks, entered, grew in _growing_masks(sweep)
         )
     else:
+        # uprf's search reads no candidate column
         walk = (
-            (masks, entered, balls, covered if grew & cmask else 0)
+            (masks, entered, 0, balls, covered if grew & cmask else 0)
             for (masks, entered, _), (balls, covered, grew) in zip(
                 _growing_masks(sweep), _growing_masks(instance.approval_sweep, sweep.ys)
             )
         )
     left = caps.node_budget
-    for y, (masks, entered, balls, covered) in zip(sweep.ys, walk):
+    for y, (masks, entered, grew, balls, covered) in zip(sweep.ys, walk):
         dropped = False
+        grown = None
         for cover in live:
             ell, m, outside, umask, spent, memo = cover
             if umask & covered:
@@ -169,7 +187,9 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
                     spent = cover[4] = None
             hit = None
             if spent is None or entered & umask:
-                hit, spent = search(masks, ell, m, umask, left, memo, entered)
+                if grown is None:  # one ascending list per threshold
+                    grown = _bits(grew)
+                hit, spent = search(masks, ell, m, umask, left, memo, entered, grown)
             left -= spent
             if left < 0:
                 return AuditReport(notion, {}, PASS, None, CAP_EXHAUSTED)
@@ -187,13 +207,26 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     return AuditReport(notion, {}, PASS, None, EXACT)
 
 
-def _ell_sets(cols, ell, m, umask, left, *_):
+def _ell_sets(cols, ell, m, umask, left, memo, entered, grew):
     """rank-pjr and dprf: the first ell candidates, among those with m
     approvers in the cover set, that m of its agents all approve; it tries
-    at most left + 1 ell-sets, the last only to run the budget out."""
-    frequent = [j for j, col in enumerate(cols) if (col & umask).bit_count() >= m]
+    at most left + 1 ell-sets, the last only to run the budget out.
+
+    The frequent columns, those with m approvers in the cover set, are
+    kept in ``memo`` as a bitmask with the umask they were counted in.  A
+    column's approvers inside an unchanged umask rise only where it grows,
+    so only the ``grew`` columns can join, and the frequent ones are
+    counted again only where the umask lost agents.
+    """
+    last, frequent = memo.get("frequent", (umask, 0))
+    if last != umask:
+        frequent = sum(1 << j for j in _bits(frequent) if (cols[j] & umask).bit_count() >= m)
+    for j in grew:
+        if (cols[j] & umask).bit_count() >= m:
+            frequent |= 1 << j
+    memo["frequent"] = umask, frequent
     charged = 0
-    for charged, tsub in enumerate(islice(combinations(frequent, ell), left + 1), 1):
+    for charged, tsub in enumerate(islice(combinations(_bits(frequent), ell), left + 1), 1):
         inter = umask
         for j in tsub:
             inter &= cols[j]
@@ -204,16 +237,24 @@ def _ell_sets(cols, ell, m, umask, left, *_):
     return None, charged
 
 
-def _unopened(unopened, cols, ell, m, umask, *_):
+def _unopened(opened, cols, ell, m, umask, left, memo, entered, grew):
     """rank-jr and rank-pjr+: the first unopened candidate with m approvers
-    in the cover set.  At most |C| columns per cover set, so never charged."""
-    for j in unopened:
-        if (cols[j] & umask).bit_count() >= m:
-            return (cols[j] & umask, (j,)), 0
+    in the cover set.  At most |C| columns per cover set, so never charged.
+
+    Only the ``grew`` columns are read.  At the first threshold every
+    non-empty column grew.  After it, the cover set's last search failed,
+    its umask has only lost agents since, and a column's approvers inside
+    it rise only where the column grows; so no other column can have
+    reached m, and the first of ``grew`` is the first of all.
+    """
+    for j in grew:
+        col = cols[j] & umask
+        if col.bit_count() >= m and j not in opened:
+            return (col, (j,)), 0
     return None, 0
 
 
-def _clique_at_least(adj, ell, m, umask, left, memo, entered):
+def _clique_at_least(adj, ell, m, umask, left, memo, entered, grew):
     """uprf: the first clique of m agents in the cover set.  Agents join in
     index order, so the clique found is the first one in that order.
 
@@ -222,8 +263,8 @@ def _clique_at_least(adj, ell, m, umask, left, memo, entered):
     entered and stopping once it has charged more than ``left``.  A node's
     subtree depends only on ``need``, the agents it still needs, on
     ``avail``, the agents it may add, and on the edges inside ``avail``,
-    and edges are only ever added.  So a failed subtree of more than 3
-    nodes is stored as ``(need, avail): nodes charged``, and a node whose
+    and edges are only ever added.  So every failed subtree, however
+    small, is stored as ``(need, avail): nodes charged``, and a node whose
     key is stored is not entered: its nodes are charged, and a budget runs
     out where the subtree would have run it out.  Keys this search stored
     are reused as they are.  ``memo`` holds the keys the cover set's latest
@@ -264,8 +305,7 @@ def _clique_at_least(adj, ell, m, umask, left, memo, entered):
                 if grow >= need - 1:
                     break
             else:
-                if charged - start > 3:
-                    fresh[key] = charged - start
+                fresh[key] = charged - start
                 if not stack:
                     memo.clear()
                     memo.update(fresh)
@@ -278,8 +318,7 @@ def _clique_at_least(adj, ell, m, umask, left, memo, entered):
 
 
 def _unopened_scan(instance, outcome, notion, max_ell):
-    unopened = [j for j in range(instance.num_candidates) if j not in outcome.centers]
-    search = partial(_unopened, unopened)
+    search = partial(_unopened, outcome.centers)
     sweep = instance.approval_sweep
     return _threshold_scan(instance, outcome, Caps(), notion, search, sweep, max_ell)
 

@@ -1,4 +1,8 @@
+import hashlib
+import json
 import random
+from functools import partial
+from itertools import combinations, islice
 
 import pytest
 
@@ -389,3 +393,120 @@ def test_cover_sets_of_oversized_outcomes_are_not_kept():
         assert check(inst, W).to_json() == check(fresh, W).to_json()
         assert check(inst, W).to_json() == check(fresh, W).to_json()
     assert inst._cover_sets == {}
+
+
+def _plain_unopened(unopened, cols, ell, m, umask, *_):
+    """The rank-jr and rank-pjr+ search reading every unopened column,
+    kept as it was."""
+    for j in unopened:
+        if (cols[j] & umask).bit_count() >= m:
+            return (cols[j] & umask, (j,)), 0
+    return None, 0
+
+
+def _plain_ell_sets(cols, ell, m, umask, left, *_):
+    """The rank-pjr and dprf search rebuilding its frequent columns from
+    every column, kept as it was."""
+    frequent = [j for j, col in enumerate(cols) if (col & umask).bit_count() >= m]
+    charged = 0
+    for charged, tsub in enumerate(islice(combinations(frequent, ell), left + 1), 1):
+        inter = umask
+        for j in tsub:
+            inter &= cols[j]
+            if inter.bit_count() < m:
+                break
+        if inter.bit_count() >= m:
+            return (inter, tsub), charged
+    return None, charged
+
+
+def _tied_rank_instance(rng):
+    """8 to 18 points: euclidean on a 3 x 3 grid, so that many coincide, or
+    in the unit square, or a graph whose edges weigh 0 to 2, so that
+    zero-weight edges co-locate their ends.  Some agents are repeated, and
+    half the time a few points are candidates only."""
+    npts = rng.randint(8, 18)
+    family = rng.choice(("grid", "square", "graph"))
+    if family == "grid":
+        space = MetricSpace.from_points([[rng.randrange(3), rng.randrange(3)] for _ in range(npts)])
+    elif family == "square":
+        space = MetricSpace.from_points([[rng.random(), rng.random()] for _ in range(npts)])
+    else:
+        edges = [(rng.randrange(v), v, rng.randint(0, 2)) for v in range(1, npts)]
+        edges += [(rng.randrange(v), v, rng.randint(0, 2)) for v in rng.sample(range(1, npts), 4)]
+        space = MetricSpace.from_graph(npts, edges)
+    spare = rng.choice((0, 3))
+    agents = list(range(npts - spare))
+    agents += [rng.randrange(npts - spare) for _ in range(rng.randint(0, 4))]
+    rng.shuffle(agents)
+    return Instance(space, agents, "all", rng.randint(2, 5))
+
+
+def _logged(search, log):
+    def run(cols, ell, m, umask, left, *rest):
+        hit, charged = search(cols, ell, m, umask, left, *rest)
+        log.append((ell, m, umask, left, hit, charged))
+        return hit, charged
+
+    return run
+
+
+def test_incremental_rank_searches_match_the_plain_ones():
+    # the searches that read only the grown columns, and keep rank-pjr's
+    # frequent columns across thresholds, against the ones that read every
+    # column at every search: same reports, and the same hit and nodes
+    # charged at every search, at small budgets and the default one
+    rng = random.Random(27)
+    for _ in range(60):
+        inst = _tied_rank_instance(rng)
+        outcomes = []
+        for rule in (greedy_capture, expanding_approvals):
+            try:
+                outcomes.append(rule(inst)[0])
+            except ValueError:
+                pass
+        size = rng.randint(0, min(inst.k, inst.num_candidates))
+        outcomes.append(Outcome(rng.sample(range(inst.num_candidates), size)))
+        for W in outcomes:
+            unopened = [j for j in range(inst.num_candidates) if j not in W.centers]
+            fast_unopened = partial(audit_rank._unopened, W.centers)
+            plain_unopened = partial(_plain_unopened, unopened)
+            runs = [
+                ("rank-jr", fast_unopened, plain_unopened, 1, [None]),
+                ("rank-pjr+", fast_unopened, plain_unopened, inst.k, [None]),
+                ("rank-pjr", audit_rank._ell_sets, _plain_ell_sets, inst.k, [0, 1, 7, 40, None]),
+            ]
+            for notion, fast, plain, max_ell, budgets in runs:
+                for budget in budgets:
+                    caps = Caps() if budget is None else Caps(budget)
+                    logs = ([], [])
+                    reports = [
+                        audit_rank._threshold_scan(
+                            inst, W, caps, notion, _logged(search, log), inst.approval_sweep, max_ell
+                        ).to_json_str()
+                        for search, log in zip((fast, plain), logs)
+                    ]
+                    assert reports[0] == reports[1]
+                    assert logs[0] == logs[1]
+                    if notion == "rank-jr":
+                        assert rank_jr_check(inst, W).to_json_str() == reports[0]
+                    elif notion == "rank-pjr+":
+                        assert rank_pjr_plus_check(inst, W).to_json_str() == reports[0]
+                    else:
+                        assert rank_pjr_check(inst, W, caps).to_json_str() == reports[0]
+
+
+# Recorded with every rank-jr, rank-pjr+, rank-pjr and dprf search reading
+# all |C| columns, before they read only the columns that grew.
+RECORDED_EUCLIDEAN_320_DIGEST = "9293b7d52234ac2c98ca212fbf9517625b75bdae56bdafe8d4d5d2eddff58b8f"
+
+
+def test_rank_audits_at_320_agents_byte_identical():
+    inst = parse_instance(generate_family("euclidean", 320, 5, 1))
+    records = []
+    for tag, rule in (("gc", greedy_capture), ("ea", expanding_approvals)):
+        W, _ = rule(inst)
+        for check in (rank_jr_check, rank_pjr_plus_check, rank_pjr_check, dprf_check):
+            records.append([tag, check(inst, W).to_json()])
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_EUCLIDEAN_320_DIGEST
