@@ -20,10 +20,17 @@ the stored distances, exact whenever the metric is exact and correctly
 rounded otherwise.
 
 Every q-th closest center, of W and of C', and each agent's quota-th
-closest agent is picked by one helper, ``_qth_smallest``: ``min`` at
-q = 1 and a stable sort otherwise.  Both break ties by position, as
+closest agent is picked by one helper, ``instance._qth_smallest``: ``min``
+at q = 1 and a stable sort otherwise.  Both break ties by position, as
 ``heapq.nsmallest`` does, so an int, a Fraction or a float comes back as
 the very object stored and encodes to the same bytes.
+
+The audits read what they share from the instance.  ``dists_to_centers``
+reads the outcome's q-th center distances from the instance's outcome
+slot (``Instance.outcome_slot``), which works each (q, table) out once
+per outcome; ``radius_scan`` reads each agent's radius from
+``Instance.radii``, sorted once per count; the deviation scan reads its
+candidate columns from ``Instance.dist_cols`` and ``Instance.int_cols``.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .instance import _bits, _checked_centers, quota
+from .instance import _bits, _qth_smallest, quota
 from .metric import _as_gamma
 from .reports import EXACT, AuditReport, Witness
 
@@ -56,26 +63,24 @@ def ratio(num, den):
     return Fraction(num, den)
 
 
-def dists_to_centers(instance, outcome, q=1, rows=None):
+def dists_to_centers(instance, outcome, q=1, integer=False):
     """Per agent index, the distance to the q-th closest center, read from
-    ``rows`` (``instance.dist_rows`` when None); inf when the outcome holds
-    fewer than q.  A non-candidate center raises."""
-    centers = _checked_centers(instance, outcome)
-    if len(centers) < q:
-        return [math.inf] * instance.n
-    rows = instance.dist_rows if rows is None else rows
-    pick = _qth_smallest(q)
-    return [pick([row[c] for c in centers]) for row in rows]
-
-
-def _qth_smallest(q):
-    """The function that returns the q-th smallest of a sequence, or its
-    largest when it holds fewer: the same object that
-    ``heapq.nsmallest(q, values)[-1]`` returns, since ``min`` and the
-    stable sort both break ties by position."""
-    if q == 1:
-        return min
-    return lambda values: sorted(values)[:q][-1]
+    ``instance.int_rows`` when ``integer`` and ``instance.dist_rows``
+    otherwise; inf when the outcome holds fewer than q.  A non-candidate
+    center raises.  The tuple is kept in the instance's outcome slot, so
+    the outcome's later audits read it back."""
+    _, centers, made = instance.outcome_slot(outcome)
+    key = (q, integer)
+    dists = made.get(key)
+    if dists is None:
+        if len(centers) < q:
+            dists = (math.inf,) * instance.n
+        else:
+            rows = instance.int_rows if integer else instance.dist_rows
+            pick = _qth_smallest(q)
+            dists = tuple(pick([row[c] for c in centers]) for row in rows)
+        made[key] = dists
+    return dists
 
 
 def top_group(ratios, m):
@@ -147,10 +152,9 @@ def radius_scan(instance, outcome, notion, params, q):
     if count > instance.n:
         raise ValueError("count exceeds number of agents")
     dqW = dists_to_centers(instance, outcome, q)
-    radius = _qth_smallest(count)
     best = None
-    for i, row in enumerate(instance.agent_rows):
-        value = ratio(dqW[i], radius(row))
+    for i, radius in enumerate(instance.radii(count)):
+        value = ratio(dqW[i], radius)
         if best is None or value > best[0]:
             best = (value, i)
     value, i = best
@@ -215,11 +219,10 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     n, k = instance.n, instance.k
     # tc's targets are single candidates, which may_beat screens for less than the masks cost
     unfiltered = summed and q == 1
-    rows = instance.int_rows if summed else instance.dist_rows
-    dqW = dists_to_centers(instance, outcome, q, rows)
+    dqW = dists_to_centers(instance, outcome, q, summed)
     # every d_q(i, W) is inf when W holds fewer than q centers
     bounded = dqW[0] != math.inf
-    by_candidate = list(zip(*rows))
+    by_candidate = instance.int_cols if summed else instance.dist_cols
     dcols = [by_candidate[j] for j in pool]
     width = len(pool)
     # d_q(i, C')
@@ -246,8 +249,8 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
         if summed:
             iW, icols = dqW, dcols
         else:
-            iW = dists_to_centers(instance, outcome, q, instance.int_rows)
-            by_int = list(zip(*instance.int_rows))
+            iW = dists_to_centers(instance, outcome, q, True)
+            by_int = instance.int_cols
             icols = [by_int[j] for j in pool]
         # r_ij >= 1 exactly when d_q(i, W) >= d(i, j)
         columns = [[(i, d) for i, (w, d) in enumerate(zip(iW, icol)) if w >= d] for icol in icols]

@@ -18,16 +18,26 @@ instance too, one ell at a time, the first time a scan reads them.  One
 map, ``candidate_at_point``, answers which candidate stands at a point,
 and restricted mode's sub-instance (``restricted``) is built once through
 it, so its own tables are too.
+
+The auditors read the distance tables both ways, per agent (``dist_rows``,
+``int_rows``) and per candidate (``dist_cols``, ``int_cols``), and each
+agent's neighbourhood radius for a count (``radii``), all built once per
+instance.  What depends on an outcome lives in one slot, the outcome
+audited last (``outcome_slot``): keyed by the center set, it holds the
+sorted centers, checked once, and the q-th center distances the audits
+have worked out so far.  Every audit of one outcome, and of an equal one
+audited next, reads them there; another center set replaces the slot.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
+from operator import ne
 from typing import NamedTuple
 
 from .metric import MetricSpace, _as_gamma, _as_id
@@ -61,12 +71,16 @@ class Instance:
 
     Rules and auditors read lazily built, read-only tables: the
     agent-by-candidate distances ``dist_rows`` and their integer scaling
-    ``int_rows``, the agent-by-agent distances ``agent_rows``, the two
-    sorted threshold sweeps ``approval_sweep`` and ``proximity_sweep``, the
-    lowest candidate index at each candidate point ``candidate_at_point``,
+    ``int_rows``, both also per candidate (``dist_cols``, ``int_cols``),
+    the agent-by-agent distances ``agent_rows`` and each agent's radius
+    ``radii(count)``, built once per count, the two sorted threshold
+    sweeps ``approval_sweep`` and ``proximity_sweep``, the lowest
+    candidate index at each candidate point ``candidate_at_point``,
     restricted mode's sub-instance and its candidate map ``restricted``,
     and the rank audits' cover-set templates ``cover_sets(size, ell)``,
-    built once per center count and ell.
+    built once per center count and ell.  One slot, ``outcome_slot``,
+    keeps the checked centers and q-th center distances of the outcome
+    audited last.
     ``d_ac`` and ``d_aa`` read the metric space directly; the brute-force
     oracle uses only those, so it stays independent of the tables.
     """
@@ -131,10 +145,36 @@ class Instance:
         return tuple(tuple(num * (scale // den) for num, den in row) for row in rows)
 
     @cached_property
+    def dist_cols(self):
+        """``dist_rows`` transposed: per candidate index, the distances to
+        every agent index."""
+        return tuple(zip(*self.dist_rows))
+
+    @cached_property
+    def int_cols(self):
+        """``int_rows`` transposed, per candidate index."""
+        return tuple(zip(*self.int_rows))
+
+    @cached_property
     def agent_rows(self):
         """Per agent index, the distances to every agent index."""
         dist = self.space.dist
         return tuple(tuple(dist(a, b) for b in self.agents) for a in self.agents)
+
+    def radii(self, count):
+        """Per agent index, the radius of its nearest ``count`` agents, itself
+        included: the count-th smallest of its ``agent_rows`` row, as the
+        very object stored.  Built once per count."""
+        made = self._radii
+        radii = made.get(count)
+        if radii is None:
+            radii = made[count] = tuple(map(_qth_smallest(count), self.agent_rows))
+        return radii
+
+    @cached_property
+    def _radii(self):
+        # count -> radii; the audits read only counts quota(n, k, q) for q <= k
+        return {}
 
     @cached_property
     def approval_sweep(self):
@@ -204,6 +244,24 @@ class Instance:
         parent = {j: at[p] for j, p in enumerate(points)}
         return Instance(self.space, self.agents, points, self.k), parent
 
+    def outcome_slot(self, outcome):
+        """The slot of the outcome audited last, keyed by its center set:
+        ``(center set, centers, dists)``, with the sorted centers, checked,
+        and the map from (q, table) to the q-th center distances that
+        ``audit_single.dists_to_centers`` fills.  An outcome with another
+        center set is checked and replaces the slot; one with a
+        non-candidate center raises ValueError with ``validate``'s detail
+        and leaves the slot as it was.  An equal outcome, however built,
+        reads the slot as it stands."""
+        slot = self.__dict__.get("_slot")
+        if slot is None or slot[0] != outcome.centers:
+            for problem in validate(self, outcome):
+                if problem["kind"] == "membership":
+                    raise ValueError(problem["detail"])
+            slot = (outcome.centers, outcome.sorted_centers(), {})
+            object.__setattr__(self, "_slot", slot)
+        return slot
+
     def agents_within_candidates(self):
         """True when every agent sits on some candidate point (N inside C)."""
         return all(a in self.candidate_at_point for a in self.agents)
@@ -241,10 +299,21 @@ def _sweep(table, *first):
     flat = [d for row in table for d in row]
     order = sorted(range(len(flat)), key=flat.__getitem__)
     dists = list(map(flat.__getitem__, order))
-    ys = sorted({*first, *flat})
+    # each run of equal distances starts where one differs from the one before;
+    # the sort is stable, so a run's first value is its first in row-major order
+    starts = list(compress(range(len(dists)), map(ne, dists, [None, *dists])))
+    ys = [dists[t] for t in starts]
+    ends = [*starts[1:], len(dists)] if dists else []
+    for y in dict.fromkeys(first):
+        s = bisect_left(ys, y)
+        if s < len(ys) and ys[s] == y:
+            ys[s] = y
+        else:
+            ys.insert(s, y)
+            ends.insert(s, ends[s - 1] if s else 0)
     rows = array("i", [t % width for t in order])
     bits = array("i", [t // width for t in order])
-    return Sweep(tuple(ys), width, rows, bits, array("q", [bisect_right(dists, y) for y in ys]))
+    return Sweep(tuple(ys), width, rows, bits, array("q", ends))
 
 
 def _entering_pairs(sweep, ys=None):
@@ -289,6 +358,16 @@ def _growing_masks(sweep, ys=None):
             entered |= b
             grew |= 1 << row
         yield masks, entered, grew
+
+
+def _qth_smallest(q):
+    """The function that returns the q-th smallest of a sequence, or its
+    largest when it holds fewer: the same object that
+    ``heapq.nsmallest(q, values)[-1]`` returns, since ``min`` and the
+    stable sort both break ties by position."""
+    if q == 1:
+        return min
+    return lambda values: sorted(values)[:q][-1]
 
 
 def _bits(mask):
@@ -341,8 +420,6 @@ def validate(instance, outcome):
 
 
 def _checked_centers(instance, outcome):
-    """Sorted centers; ValueError with ``validate``'s detail for a non-candidate."""
-    for problem in validate(instance, outcome):
-        if problem["kind"] == "membership":
-            raise ValueError(problem["detail"])
-    return outcome.sorted_centers()
+    """Sorted centers, from the instance's outcome slot; ValueError with
+    ``validate``'s detail for a non-candidate."""
+    return instance.outcome_slot(outcome)[1]

@@ -231,6 +231,10 @@ def test_sweep_first_values_win_and_any_ys_reads():
     assert list(_growing_masks(sweep, [])) == []
     read = [list(pairs) for pairs in _entering_pairs(sweep, [-1, 0.5, 3, 9])]
     assert read == [[], [(1, 0), (0, 1)], [(2, 1), (0, 0), (1, 1)], [(2, 0)]]
+    # a first value the table lacks is a threshold at which no pair enters
+    sweep = _sweep([[2, 1.5], [1.5, 3]], 0)
+    assert sweep.ys == (0, 1.5, 2, 3) and list(sweep.ends) == [0, 2, 3, 4]
+    assert _sweep([[]], 0).ys == (0,) and list(_sweep([[]], 0).ends) == [0]
 
 
 def _fresh_masks(size, pairs, ys):
@@ -368,3 +372,34 @@ def test_cached_tables_keep_no_per_call_state(small_corpus):
         B = Outcome(rng.sample(range(inst.num_candidates), rng.randint(0, size)))
         for W in (A, B, A):
             assert _rule_and_rank_outputs(inst, W, False) == _rule_and_rank_outputs(inst, W, True)
+
+
+def _audit_all(inst, outcome):
+    """Every notion's report, or its error, as text."""
+    out = []
+    for notion in NUMERIC_NOTIONS + RANK_NOTIONS:
+        try:
+            out.append(run_audit(inst, outcome, notion, q=2, cap=2).to_json_str())
+        except ValueError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def test_outcome_layer_matches_fresh_instances(small_corpus):
+    # one instance audits outcomes in turn, each read through its outcome
+    # slot: a new center set, a repeated one, an equal one built by hand and
+    # a non-candidate center read as on a fresh instance of the same data
+    for src in small_corpus:
+        inst = Instance(src.space, src.agents, src.candidates, src.k)
+        gc = algorithms.greedy_capture(inst)[0]
+        ea = algorithms.expanding_approvals(inst)[0]
+        bad = Outcome({*sorted(gc.centers)[1:], inst.num_candidates})
+        for W in (gc, ea, gc, Outcome(sorted(gc.centers)), bad):
+            fresh = Instance(src.space, src.agents, src.candidates, src.k)
+            assert _audit_all(inst, W) == _audit_all(fresh, W)
+        # every call on the non-candidate raises and leaves the slot as it was
+        kept = inst.outcome_slot(gc)
+        assert all(e.startswith("ValueError: ") for e in _audit_all(inst, bad))
+        with pytest.raises(ValueError, match=f"center {inst.num_candidates} is not a candidate"):
+            inst.outcome_slot(bad)
+        assert inst.outcome_slot(gc) is kept
