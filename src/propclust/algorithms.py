@@ -100,7 +100,7 @@ def greedy_capture(instance):
         raise ValueError("empty candidate set")
     n, k = instance.n, instance.k
     m = quota(n, k, 1, 1)
-    table = instance.dist_rows
+    cols = instance.dist_cols
     remaining = (1 << n) - 1
     opened = []
     open_mask = 0
@@ -118,7 +118,7 @@ def greedy_capture(instance):
             captured = tuple(_bits(ball))
             events.append(
                 TraceEvent(
-                    delta=sorted(table[i][j] for i in captured)[m - 1],
+                    delta=sorted(map(cols[j].__getitem__, captured))[m - 1],
                     kind="open",
                     candidate=j,
                     captured=captured,
@@ -136,7 +136,7 @@ def greedy_capture(instance):
             remaining ^= 1 << i
             events.append(
                 TraceEvent(
-                    delta=table[i][owner[i]],
+                    delta=cols[owner[i]][i],
                     kind="absorb",
                     agent=i,
                     center=owner[i],
@@ -167,7 +167,7 @@ def expanding_approvals(instance, deduct_order=None):
     if deduct_order is None:
         deduct_order = closest_first_order
     n, k = instance.n, instance.k
-    table = instance.dist_rows
+    cols = instance.dist_cols
     sweep = instance.approval_sweep
     budgets = [k] * n  # in units of 1/n: an opening costs n
     funded = n  # agents with a positive budget
@@ -197,7 +197,8 @@ def expanding_approvals(instance, deduct_order=None):
             opened.append(j)
             events.append(TraceEvent(delta=delta, kind="open", candidate=j, remaining=funded))
             need = n
-            for i in deduct_order(ball, {i: table[i][j] for i in ball}):
+            col = cols[j]
+            for i in deduct_order(ball, {i: col[i] for i in ball}):
                 if need == 0:
                     break
                 take = min(budgets[i], need)

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, islice
 
-from .instance import _bits, _checked_centers, _growing_masks
+from .instance import _bits, _growing_masks
 from .metric import _as_id
 from .reports import CAP_EXHAUSTED, EXACT, PASS, VIOLATION, AuditReport, RankViolation
 
@@ -106,9 +106,10 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     A cover set is an (ell, m, Y) for a set Y of min(ell - 1, |W|) center
     positions, in combinations order within each ell: its umask holds the
     agents in no ball of a center outside Y, so any group inside it
-    approves fewer than ell centers.  Their templates come from
-    ``instance.cover_sets``, one ell at a time up to ``max_ell``; each
-    call makes its own live copies and keeps them across thresholds.
+    approves fewer than ell centers.  The positions outside each Y come
+    from ``instance.cover_sets``, one ell at a time up to ``max_ell``, and
+    each ell's quota m from ``instance.quotas``; each call makes its own
+    live copies and keeps them across thresholds.
     A center's ball is the approval walk's mask of that center: the
     sweep's own masks for the approval scans, and for uprf a walk of the
     approval sweep at the proximity thresholds.  Balls only grow, so a
@@ -146,13 +147,14 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     place at the next threshold, and the scan builds the report, covered
     winners included, before that.
     """
-    centers = _checked_centers(instance, outcome)
+    centers = instance.outcome_slot(outcome)[1]
     everyone = (1 << instance.n) - 1
     # [ell, m, positions outside Y, umask, nodes of the last failed search, memo]
+    quotas = instance.quotas
     live = [
-        [ell, m, outside, everyone, None, {}]
+        [ell, quotas[ell], outside, everyone, None, {}]
         for ell in range(1, max_ell + 1)
-        for _, m, outside in instance.cover_sets(len(centers), ell)
+        for outside in instance.cover_sets(len(centers), ell)
     ]
     cmask = sum(1 << c for c in centers)
     # an agent can leave a umask only at a threshold where a center's ball grew

@@ -10,12 +10,12 @@ pf and tc are the q = 1, single-candidate case of q-core and q-tc, so all
 four run ``deviation_scan``; pf and tc hand it the unopened candidates, the
 q-audits every candidate.  The scan is pruned by its incumbent, the best
 value so far: a bit-mask test on each agent's candidates with ratio above
-the incumbent, decided exactly on the integer table ``int_rows``, skips
+the incumbent, decided exactly on the integer table ``int_cols``, skips
 every target that cannot beat it, except in tc.
 
 All audits report a value together with a witness that reproduces it.  The
 summed scans (tc, q-tc) are exact on every space: they read the instance's
-integer table ``int_rows``.  pf, if and q-core compare single quotients of
+integer table ``int_cols``.  pf, if and q-core compare single quotients of
 the stored distances, exact whenever the metric is exact and correctly
 rounded otherwise.
 
@@ -65,10 +65,10 @@ def ratio(num, den):
 
 def dists_to_centers(instance, outcome, q=1, integer=False):
     """Per agent index, the distance to the q-th closest center, read from
-    ``instance.int_rows`` when ``integer`` and ``instance.dist_rows``
-    otherwise; inf when the outcome holds fewer than q.  A non-candidate
-    center raises.  The tuple is kept in the instance's outcome slot, so
-    the outcome's later audits read it back."""
+    the center columns of ``instance.int_cols`` when ``integer`` and of
+    ``instance.dist_cols`` otherwise; inf when the outcome holds fewer
+    than q.  A non-candidate center raises.  The tuple is kept in the
+    instance's outcome slot, so the outcome's later audits read it back."""
     _, centers, made = instance.outcome_slot(outcome)
     key = (q, integer)
     dists = made.get(key)
@@ -76,9 +76,8 @@ def dists_to_centers(instance, outcome, q=1, integer=False):
         if len(centers) < q:
             dists = (math.inf,) * instance.n
         else:
-            rows = instance.int_rows if integer else instance.dist_rows
-            pick = _qth_smallest(q)
-            dists = tuple(pick([row[c] for c in centers]) for row in rows)
+            cols = instance.int_cols if integer else instance.dist_cols
+            dists = tuple(map(_qth_smallest(q), zip(*[cols[c] for c in centers])))
         made[key] = dists
     return dists
 
@@ -208,11 +207,11 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     and it is scored only if it passes ``may_beat`` at b.  At q = 1 (tc) a
     summed scan skips the G_i test.
 
-    G_i is decided on the integer table ``instance.int_rows``, by
+    G_i is decided on the integer table ``instance.int_cols``, by
     cross-multiplication, so it is exact.  A float b (pf and q-core on
     float data) then keeps every j whose float ratio exceeds b, and perhaps
     a few more, and the float comparison with b still decides.  A summed
-    scan reads only ``int_rows``, so every comparison it makes is exact, on
+    scan reads only ``int_cols``, so every comparison it makes is exact, on
     float data too.  A float instance then reports the float re-evaluation
     of the exact witness, ``q_group_sum_ratio``.
     """

@@ -13,15 +13,17 @@ and ``proximity_sweep`` from its agent-agent table.  ``_entering_pairs``
 replays a sorted order on every call, yielding at each threshold y the
 pairs that came within it (a distance d is within y when ``d <= y``), and
 ``_growing_masks`` ORs those pairs into one bitmask per row.
-The rank audits' cover-set templates (``cover_sets``) are built once per
-instance too, one ell at a time, the first time a scan reads them.  One
-map, ``candidate_at_point``, answers which candidate stands at a point,
-and restricted mode's sub-instance (``restricted``) is built once through
-it, so its own tables are too.
+The rank audits' quota per ell (``quotas``) and cover-set templates
+(``cover_sets``) are built once per instance too, the templates one ell
+at a time, the first time a scan reads them.  One map,
+``candidate_at_point``, answers which candidate stands at a point, and
+restricted mode's sub-instance (``restricted``) is built once through it,
+so its own tables are too.
 
-The auditors read the distance tables both ways, per agent (``dist_rows``,
-``int_rows``) and per candidate (``dist_cols``, ``int_cols``), and each
-agent's neighbourhood radius for a count (``radii``), all built once per
+Every rule and auditor reads the agent-by-candidate distances from one
+table per number kind, stored per candidate: the stored distances
+(``dist_cols``) and their integer scaling (``int_cols``).  They and each
+agent's neighbourhood radius for a count (``radii``) are built once per
 instance.  What depends on an outcome lives in one slot, the outcome
 audited last (``outcome_slot``): keyed by the center set, it holds the
 sorted centers, checked once, and the q-th center distances the audits
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, islice
@@ -70,17 +72,16 @@ class Instance:
     entries are distinct selectable slots even when co-located.
 
     Rules and auditors read lazily built, read-only tables: the
-    agent-by-candidate distances ``dist_rows`` and their integer scaling
-    ``int_rows``, both also per candidate (``dist_cols``, ``int_cols``),
-    the agent-by-agent distances ``agent_rows`` and each agent's radius
-    ``radii(count)``, built once per count, the two sorted threshold
-    sweeps ``approval_sweep`` and ``proximity_sweep``, the lowest
-    candidate index at each candidate point ``candidate_at_point``,
-    restricted mode's sub-instance and its candidate map ``restricted``,
-    and the rank audits' cover-set templates ``cover_sets(size, ell)``,
-    built once per center count and ell.  One slot, ``outcome_slot``,
-    keeps the checked centers and q-th center distances of the outcome
-    audited last.
+    agent-by-candidate distances, per candidate, ``dist_cols`` and their
+    integer scaling ``int_cols``, the agent-by-agent distances
+    ``agent_rows`` and each agent's radius ``radii(count)``, built once
+    per count, the two sorted threshold sweeps ``approval_sweep`` and
+    ``proximity_sweep``, the lowest candidate index at each candidate
+    point ``candidate_at_point``, restricted mode's sub-instance and its
+    candidate map ``restricted``, and the rank audits' quota per ell
+    ``quotas`` and cover-set templates ``cover_sets(size, ell)``, built
+    once per center count and ell.  One slot, ``outcome_slot``, keeps the
+    checked centers and q-th center distances of the outcome audited last.
     ``d_ac`` and ``d_aa`` read the metric space directly; the brute-force
     oracle uses only those, so it stays independent of the tables.
     """
@@ -127,33 +128,24 @@ class Instance:
         return self.space.dist(self.agents[i], self.agents[j])
 
     @cached_property
-    def dist_rows(self):
-        """Per agent index, the distances to every candidate index."""
+    def dist_cols(self):
+        """Per candidate index, the distances from every agent index: the
+        one stored agent-by-candidate table, so a row ``i`` is read as
+        ``dist_cols[j][i]``."""
         dist = self.space.dist
-        return tuple(tuple(dist(a, c) for c in self.candidates) for a in self.agents)
+        return tuple(tuple(dist(a, c) for a in self.agents) for c in self.candidates)
 
     @cached_property
-    def int_rows(self):
-        """``dist_rows`` times the lcm of all their denominators: an integer
+    def int_cols(self):
+        """``dist_cols`` times the lcm of all their denominators: an integer
         table with the same ratios.  Every float is an exact binary
         rational, so the scale is a power of two on float data, and 1 on
         integer data.  The summed deviation audits read it, which keeps
         tc and q-tc exact on every kind of space, and pf and q-core decide
         their pruning test on it."""
-        rows = [[d.as_integer_ratio() for d in row] for row in self.dist_rows]
-        scale = math.lcm(*{den for row in rows for _, den in row})
-        return tuple(tuple(num * (scale // den) for num, den in row) for row in rows)
-
-    @cached_property
-    def dist_cols(self):
-        """``dist_rows`` transposed: per candidate index, the distances to
-        every agent index."""
-        return tuple(zip(*self.dist_rows))
-
-    @cached_property
-    def int_cols(self):
-        """``int_rows`` transposed, per candidate index."""
-        return tuple(zip(*self.int_rows))
+        cols = [[d.as_integer_ratio() for d in col] for col in self.dist_cols]
+        scale = math.lcm(*{den for col in cols for _, den in col})
+        return tuple(tuple(num * (scale // den) for num, den in col) for col in cols)
 
     @cached_property
     def agent_rows(self):
@@ -181,8 +173,10 @@ class Instance:
         """The sweep over the agent-candidate distances: per candidate, a
         mask of the agents approving it (the agents in its ball), at each
         sorted distinct distance, the only radii at which any ball gains
-        an agent."""
-        return _sweep(self.dist_rows)
+        an agent.  It sorts the agent-major table, ``dist_cols`` transposed
+        (one empty row when there is no candidate, so the width is 0), and
+        keeps only the sweep."""
+        return _sweep(list(zip(*self.dist_cols)) or [()])
 
     @cached_property
     def proximity_sweep(self):
@@ -191,29 +185,36 @@ class Instance:
         unaffected: its clique search drops an agent from ``avail`` before
         reading its adjacency, and self pairs enter at y = 0, where no
         search is replayed.  The table is symmetric, so which index is the
-        mask and which the bit does not matter; the int 0 is listed first,
-        so co-located float points cannot make it 0.0."""
-        return _sweep(self.agent_rows, 0)
+        mask and which the bit does not matter.  Its diagonal makes the
+        first threshold a zero, which is set to the int 0, so co-located
+        float points cannot make it 0.0."""
+        sweep = _sweep(self.agent_rows)
+        return sweep._replace(ys=(0, *sweep.ys[1:]))
 
     def cover_sets(self, size, ell):
         """The rank audits' cover-set templates for ``size`` centers and
         one ell: for each set Y of min(ell - 1, size) center positions, in
-        combinations order, ``(ell, m, outside)`` with the quota
-        m = quota(n, k, ell) and the positions outside Y.  Each ell is built
+        combinations order, the positions outside Y.  Each ell is built
         only when a scan first reads it, so rank-jr builds its one ell = 1
         template and never the 2^size of the higher rows."""
         key = (size, ell)
         made = self._cover_sets
         templates = made.get(key)
         if templates is None:
-            m = quota(self.n, self.k, ell)
             templates = tuple(
-                (ell, m, tuple(p for p in range(size) if p not in ysub))
+                tuple(p for p in range(size) if p not in ysub)
                 for ysub in combinations(range(size), min(ell - 1, size))
             )
             if size <= self.k:
                 made[key] = templates
         return templates
+
+    @cached_property
+    def quotas(self):
+        """quota(n, k, ell) for ell = 0 .. k, the least size of a group owed
+        ell centers: worked out once per instance, since the rank audits
+        read one per ell on every call."""
+        return tuple(quota(self.n, self.k, ell) for ell in range(self.k + 1))
 
     @cached_property
     def _cover_sets(self):
@@ -286,12 +287,12 @@ class Sweep(NamedTuple):
     ends: array
 
 
-def _sweep(table, *first):
+def _sweep(table):
     """The ``Sweep`` of a distance table, whose entry ``table[bit][row]``
     puts ``bit`` into mask ``row`` once it is within a threshold y, that
-    is when ``table[bit][row] <= y``.  The thresholds are the distinct
-    values of ``first`` and the table; of equal values such as 0 and 0.0
-    the first one seen is kept, ``first`` before the table row by row.
+    is when ``table[bit][row] <= y``.  The thresholds are the table's
+    distinct values; of equal values such as 0 and 0.0 the first one seen
+    row by row is kept.
     The table's flat indices are sorted by distance (a stable sort, so
     ties keep row-major order), and each index t is stored as row
     ``t % width`` and bit ``t // width``."""
@@ -302,18 +303,11 @@ def _sweep(table, *first):
     # each run of equal distances starts where one differs from the one before;
     # the sort is stable, so a run's first value is its first in row-major order
     starts = list(compress(range(len(dists)), map(ne, dists, [None, *dists])))
-    ys = [dists[t] for t in starts]
+    ys = tuple(map(dists.__getitem__, starts))
     ends = [*starts[1:], len(dists)] if dists else []
-    for y in dict.fromkeys(first):
-        s = bisect_left(ys, y)
-        if s < len(ys) and ys[s] == y:
-            ys[s] = y
-        else:
-            ys.insert(s, y)
-            ends.insert(s, ends[s - 1] if s else 0)
     rows = array("i", [t % width for t in order])
     bits = array("i", [t // width for t in order])
-    return Sweep(tuple(ys), width, rows, bits, array("q", ends))
+    return Sweep(ys, width, rows, bits, array("q", ends))
 
 
 def _entering_pairs(sweep, ys=None):
@@ -417,9 +411,3 @@ def validate(instance, outcome):
                 {"kind": "membership", "detail": f"center {c} is not a candidate index"}
             )
     return violations
-
-
-def _checked_centers(instance, outcome):
-    """Sorted centers, from the instance's outcome slot; ValueError with
-    ``validate``'s detail for a non-candidate."""
-    return instance.outcome_slot(outcome)[1]

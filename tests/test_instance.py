@@ -190,7 +190,7 @@ def test_sweep_builds_from_a_non_square_table():
     assert list(sweep.rows) == [1, 0, 2, 0, 1, 2]
     assert list(sweep.bits) == [0, 1, 1, 0, 1, 0]
     assert sweep.ys == (0.0, 1, 2, 5) and list(sweep.ends) == [2, 3, 5, 6]
-    # without first, the 0.0 seen first in row-major order is the threshold
+    # the 0.0 seen first in row-major order is the threshold
     assert type(sweep.ys[0]) is float
     expected = [
         ([0b10, 0b01, 0b00], 0b11, 0b011),
@@ -214,10 +214,8 @@ def test_sweep_builds_from_a_non_square_table():
 
 def test_sweep_first_values_win_and_any_ys_reads():
     table = [[2, 0.0, 5], [0, 2, 1]]
-    sweep = _sweep(table, 0)
-    assert sweep.ys == (0, 1, 2, 5) and type(sweep.ys[0]) is int
-    assert list(sweep.ends) == [2, 3, 5, 6]
-    # without first, the first zero in row-major order is kept
+    sweep = _sweep(table)
+    # the first zero in row-major order is kept
     assert [type(y) for y in _sweep([[0, 0.0]]).ys] == [int]
     assert [type(y) for y in _sweep([[1.5], [0.0], [0]]).ys] == [float, float]
     # a sweep reads at any ascending ys: every distance is one of its ys
@@ -231,10 +229,69 @@ def test_sweep_first_values_win_and_any_ys_reads():
     assert list(_growing_masks(sweep, [])) == []
     read = [list(pairs) for pairs in _entering_pairs(sweep, [-1, 0.5, 3, 9])]
     assert read == [[], [(1, 0), (0, 1)], [(2, 1), (0, 0), (1, 1)], [(2, 0)]]
-    # a first value the table lacks is a threshold at which no pair enters
-    sweep = _sweep([[2, 1.5], [1.5, 3]], 0)
-    assert sweep.ys == (0, 1.5, 2, 3) and list(sweep.ends) == [0, 2, 3, 4]
-    assert _sweep([[]], 0).ys == (0,) and list(_sweep([[]], 0).ends) == [0]
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        MetricSpace.from_matrix([[0, 3, 5], [3, 0, 4], [5, 4, 0]]),
+        MetricSpace.from_matrix(
+            [
+                [0, Fraction(1, 2), Fraction(3, 5)],
+                [Fraction(1, 2), 0, Fraction(1, 5)],
+                [Fraction(3, 5), Fraction(1, 5), 0],
+            ]
+        ),
+        MetricSpace.from_points([(0.0, 0.0), (0.1, 0.0), (0.3, 0.7)]),
+        MetricSpace.from_matrix([[0, 1, 1.5], [1, 0, 0.75], [1.5, 0.75, 0]]),
+    ],
+    ids=["int", "fraction", "float", "mixed"],
+)
+def test_int_cols_scale_dist_cols_by_one_integer(space):
+    # int_cols is dist_cols times one common integer scale, exactly; the
+    # columns' own denominators differ on all but the int space
+    inst = Instance(space, (0, 1, 2, 1), (2, 0, 1), 2)
+    dist, ints = inst.dist_cols, inst.int_cols
+    assert dist == tuple(
+        tuple(inst.d_ac(i, j) for i in range(inst.n)) for j in range(inst.num_candidates)
+    )
+    scale = math.lcm(*(Fraction(d).denominator for col in dist for d in col))
+    assert [len(col) for col in ints] == [inst.n] * inst.num_candidates
+    for dcol, icol in zip(dist, ints, strict=True):
+        for d, v in zip(dcol, icol, strict=True):
+            assert type(v) is int and v == Fraction(d) * scale
+
+
+def test_zero_candidates_audit_as_recorded():
+    # an instance with no candidate and the empty outcome: every notion's
+    # report or error; the approval sweep still has width 0
+    space = MetricSpace.from_points([(0.0,), (1.0,), (3.0,)])
+    inst = Instance(space, (0, 1, 2), (), 2)
+    assert inst.dist_cols == inst.int_cols == ()
+    assert inst.approval_sweep.width == 0 and inst.approval_sweep.ys == ()
+    exact_one = '"status": "exact", "value": 1, "witness": null}'
+    passed = '"params": {}, "status": "exact", "value": "pass", "witness": null}'
+    expected = {
+        "pf": '{"notion": "pf", "params": {}, ' + exact_one,
+        "tc": '{"notion": "tc", "params": {"gamma": 1}, ' + exact_one,
+        "qcore": '{"notion": "qcore", "params": {"q": 1, "size_cap": 1}, ' + exact_one,
+        "qtc": '{"notion": "qtc", "params": {"gamma": 1, "q": 1, "size_cap": 1}, ' + exact_one,
+        "if": "ValueError: IF undefined: agents are not a subset of candidates",
+        "qif": "ValueError: q-IF undefined: agents are not a subset of candidates",
+        **{notion: f'{{"notion": "{notion}", {passed}' for notion in (
+            "rank-jr", "rank-pjr", "rank-pjr+", "dprf"
+        )},
+        "uprf": '{"notion": "uprf", "params": {}, "status": "exact", "value": "violation", '
+        '"witness": {"axiom": "uprf", "covered_winners": [], "ell": 1, "group": [0, 1], '
+        '"threshold_y": 1.0, "witness_candidates": []}}',
+    }
+    got = {}
+    for notion in NUMERIC_NOTIONS + RANK_NOTIONS:
+        try:
+            got[notion] = run_audit(inst, Outcome(()), notion).to_json_str()
+        except ValueError as exc:
+            got[notion] = f"{type(exc).__name__}: {exc}"
+    assert got == expected
 
 
 def _fresh_masks(size, pairs, ys):
@@ -254,13 +311,17 @@ def _fresh_masks(size, pairs, ys):
         yield list(masks), entered, grew
 
 
+def _table(inst):
+    """Per agent index, the distances to every candidate index."""
+    return [[inst.d_ac(i, j) for j in range(inst.num_candidates)] for i in range(inst.n)]
+
+
 def _fresh_balls(inst, centers, ys):
     """Per threshold, each center's ball and the agents that entered one."""
+    table = _table(inst)
     before = [0] * len(centers)
     for y in ys:
-        balls = [
-            sum(1 << i for i, row in enumerate(inst.dist_rows) if row[c] <= y) for c in centers
-        ]
+        balls = [sum(1 << i for i, row in enumerate(table) if row[c] <= y) for c in centers]
         covered = 0
         for old, new in zip(before, balls):
             covered |= new & ~old
@@ -269,7 +330,7 @@ def _fresh_balls(inst, centers, ys):
 
 
 def _check_cached_sweeps(inst):
-    rows, arows = inst.dist_rows, inst.agent_rows
+    rows, arows = _table(inst), inst.agent_rows
     approvals = [(d, j, i) for i, row in enumerate(rows) for j, d in enumerate(row)]
     proximity = [(d, i, j) for i, row in enumerate(arows) for j, d in enumerate(row)]
     levels = sorted({d for d, _, _ in approvals})
@@ -304,7 +365,7 @@ def _sweep_coverage(corpus):
     """How many instances have tied distances, co-located agents and float
     co-location (a 0.0 between two agent entries)."""
     ties = sum(
-        len({d for row in inst.dist_rows for d in row}) < inst.n * inst.num_candidates
+        len({d for row in _table(inst) for d in row}) < inst.n * inst.num_candidates
         for inst in corpus
     )
     colocated = sum(

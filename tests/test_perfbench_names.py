@@ -4,13 +4,16 @@ The benchmark looks package functions up by ``<module>.<name>``, so a
 refactor that renames or removes one breaks it without failing any other
 test.  This test loads the benchmark's workload and check lists by path,
 without running them, and resolves every name against the package, along
-with the methods the runner calls on the results it encodes.
+with the methods the runner calls on the results it encodes and the members
+the workloads and checks read on an ``Instance``.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+from propclust import Instance, MetricSpace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,6 +34,18 @@ DIRECT_NAMES = (
     # methods run.py's encode_outcome and encode_report call on results
     "algorithms.Trace.to_json",
     "reports.AuditReport.to_json_str",
+)
+
+# members the workloads and checks read on an Instance; k is a dataclass
+# field, not a class attribute, so they are looked up on a built instance
+INSTANCE_MEMBERS = (
+    "n",
+    "k",
+    "num_candidates",
+    "d_ac",
+    "d_aa",
+    "agents_within_candidates",
+    "agents_equal_candidates",
 )
 
 
@@ -72,3 +87,8 @@ def test_perfbench_names_resolve():
         except AttributeError:
             missing.append(name)
     assert missing == []
+
+
+def test_perfbench_instance_members_resolve():
+    inst = Instance(MetricSpace.from_matrix([[0]]), (0,), "all", 1)
+    assert [name for name in INSTANCE_MEMBERS if not hasattr(inst, name)] == []

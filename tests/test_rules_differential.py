@@ -41,10 +41,16 @@ from propclust.generate import generate_family, random_instance
 from propclust.instance import Outcome, quota
 
 
+def _table(instance):
+    """Per agent index, the distances to every candidate index."""
+    cands = range(instance.num_candidates)
+    return [[instance.d_ac(i, j) for j in cands] for i in range(instance.n)]
+
+
 def plain_greedy_capture(instance):
     n, k = instance.n, instance.k
     m = quota(n, k, 1, 1)
-    table = instance.dist_rows
+    table = _table(instance)
     remaining = list(range(n))
     opened = []
     opened_set = set()
@@ -140,7 +146,7 @@ def plain_expanding_approvals(instance, deduct_order=None):
     if deduct_order is None:
         deduct_order = closest_first_order
     n, k = instance.n, instance.k
-    table = instance.dist_rows
+    table = _table(instance)
     budgets = [k] * n
     funded = n
     closed = list(range(instance.num_candidates))
