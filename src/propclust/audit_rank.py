@@ -13,9 +13,9 @@ and ``Instance.proximity_sweep``, and every call replays that order through
 the pairs into the approval or adjacency masks as the threshold grows: an
 agent approves a candidate at threshold y when their distance d has
 ``d <= y``.  A center's ball is its approval mask, read straight off a
-walk of the approval sweep, so no call sorts or copies a ball: the
-approval scans read it off their own walk, and uprf walks the approval
-sweep beside its own.  That walk's ``grew``, the candidates whose balls
+walk of the approval sweep, so no call sorts or copies a ball: every
+scan makes one such walk, the approval scans search its masks too, and
+uprf walks its adjacency sweep beside it.  That walk's ``grew``, the candidates whose balls
 grew at the threshold, and ``entered``, the agents that entered them, tell
 the scan which cover sets may have lost an agent.
 
@@ -99,9 +99,11 @@ def thresholds(instance):
     return list(instance.approval_sweep.ys)
 
 
-def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
+def _threshold_scan(instance, outcome, caps, notion, search, max_ell, adjacency=None):
     """Search every cover set for ell = 1 .. ``max_ell`` at every threshold
-    of the instance's ``sweep`` until ``search`` finds a violation.
+    until ``search`` finds a violation: every threshold of the instance's
+    ``approval_sweep``, or with ``adjacency`` (uprf's
+    ``instance.proximity_sweep``) every threshold of that sweep.
 
     A cover set is an (ell, m, Y) for a set Y of min(ell - 1, |W|) center
     positions, in combinations order within each ell: its umask holds the
@@ -110,9 +112,12 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     from ``instance.cover_sets``, one ell at a time up to ``max_ell``, and
     each ell's quota m from ``instance.quotas``; each call makes its own
     live copies and keeps them across thresholds.
-    A center's ball is the approval walk's mask of that center: the
-    sweep's own masks for the approval scans, and for uprf a walk of the
-    approval sweep at the proximity thresholds.  Balls only grow, so a
+    One walk of the approval sweep, read at the scan's thresholds, gives
+    each threshold's (balls, entered, grew): a center's ball is that walk's
+    mask of the center.  The approval scans search those same masks with
+    that same ``entered``; with ``adjacency`` the search reads one step of
+    the adjacency walk instead, its masks and its ``entered``, and no
+    candidate column grows for it.  Balls only grow, so a
     umask only loses agents, and only an agent that just entered a center's
     ball can leave: a umask is recomputed from the balls only at a
     threshold where that walk's ``grew`` holds a center and one of the
@@ -121,20 +126,20 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
     a umask that lost no agent leaves it, and its replay, unchanged.
 
     ``search(masks, ell, m, umask, left, memo, entered, grew) -> (hit,
-    nodes charged)`` gets the sweep's ``width`` masks at the threshold, the
+    nodes charged)`` gets the walk's masks at the threshold, the
     cover set's ell, quota m and agent mask, ``left``, the nodes still
     available, the cover set's own dict ``memo``, the threshold's
     ``entered`` bits and ``grew``, the ascending list of the candidates
     whose balls grew at the threshold (empty for uprf, whose masks are the
     agents' adjacency).  Its hit is (group, witness candidates), the group
     as a bit mask of at least m agents inside umask, or None; it may stop
-    once it has charged more than ``left``.  Only this scan subtracts from the budget, and it
-    reports ``cap_exhausted`` once that leaves less than 0, whatever the
+    once it has charged more than ``left``.  Only this scan subtracts from
+    the budget, and it reports ``cap_exhausted`` once that leaves less than 0, whatever the
     hit.  A search must read the masks only inside umask (``mask & umask``,
     or the masks of agents in umask), so it returns the same and charges
     the same while neither its umask nor those bits change.  The scan
     therefore replays a failed search whose umask is unchanged and whose
-    sweep added no bit inside that umask: it charges the nodes the search
+    walk added no bit inside that umask: it charges the nodes the search
     charged last time, and runs out where the search would have.  So
     between two searches of a cover set, only the later threshold's
     ``entered`` can have added bits inside the earlier one's umask, and
@@ -157,22 +162,20 @@ def _threshold_scan(instance, outcome, caps, notion, search, sweep, max_ell):
         for outside in instance.cover_sets(len(centers), ell)
     ]
     cmask = sum(1 << c for c in centers)
-    # an agent can leave a umask only at a threshold where a center's ball grew
-    if sweep is instance.approval_sweep:
-        walk = (
-            (masks, entered, grew, masks, entered if grew & cmask else 0)
-            for masks, entered, grew in _growing_masks(sweep)
-        )
+    if adjacency is None:
+        ys, approvals = instance.approval_sweep.ys, _growing_masks(instance.approval_sweep)
     else:
-        # uprf's search reads no candidate column
-        walk = (
-            (masks, entered, 0, balls, covered if grew & cmask else 0)
-            for (masks, entered, _), (balls, covered, grew) in zip(
-                _growing_masks(sweep), _growing_masks(instance.approval_sweep, sweep.ys)
-            )
-        )
+        ys, adjacent = adjacency.ys, _growing_masks(adjacency)
+        approvals = _growing_masks(instance.approval_sweep, ys)
     left = caps.node_budget
-    for y, (masks, entered, grew, balls, covered) in zip(sweep.ys, walk):
+    for y, (balls, entered, grew) in zip(ys, approvals):
+        # an agent can leave a umask only at a threshold where a center's ball grew
+        covered = entered if grew & cmask else 0
+        masks = balls
+        if adjacency is not None:
+            # uprf's search reads the agents' adjacency and no candidate column
+            masks, entered, _ = next(adjacent)
+            grew = 0
         dropped = False
         grown = None
         for cover in live:
@@ -321,8 +324,7 @@ def _clique_at_least(adj, ell, m, umask, left, memo, entered, grew):
 
 def _unopened_scan(instance, outcome, notion, max_ell):
     search = partial(_unopened, outcome.centers)
-    sweep = instance.approval_sweep
-    return _threshold_scan(instance, outcome, Caps(), notion, search, sweep, max_ell)
+    return _threshold_scan(instance, outcome, Caps(), notion, search, max_ell)
 
 
 def rank_jr_check(instance, outcome):
@@ -335,17 +337,13 @@ def rank_jr_check(instance, outcome):
 def rank_pjr_check(instance, outcome, caps=Caps()):
     """At every threshold, every ell-large group sharing ell approved
     candidates must collectively approve ell centers."""
-    return _threshold_scan(
-        instance, outcome, caps, "rank-pjr", _ell_sets, instance.approval_sweep, instance.k
-    )
+    return _threshold_scan(instance, outcome, caps, "rank-pjr", _ell_sets, instance.k)
 
 
 def dprf_check(instance, outcome, caps=Caps()):
     """Discrete proportionally-representative fairness; same condition as
     the ell-cohesive threshold axiom, reported under its own name."""
-    return _threshold_scan(
-        instance, outcome, caps, "dprf", _ell_sets, instance.approval_sweep, instance.k
-    )
+    return _threshold_scan(instance, outcome, caps, "dprf", _ell_sets, instance.k)
 
 
 def rank_pjr_plus_check(instance, outcome):
@@ -363,6 +361,7 @@ def uprf_check(instance, outcome, caps=Caps()):
     agent-agent distances are enumerated.  Candidate locations play no role
     on the group side.
     """
+    adjacency = instance.proximity_sweep
     return _threshold_scan(
-        instance, outcome, caps, "uprf", _clique_at_least, instance.proximity_sweep, instance.k
+        instance, outcome, caps, "uprf", _clique_at_least, instance.k, adjacency=adjacency
     )

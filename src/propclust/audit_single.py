@@ -207,6 +207,8 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     and it is scored only if it passes ``may_beat`` at b.  At q = 1 (tc) a
     summed scan skips the G_i test.
 
+    The sets G_i are held only as bit masks, one per pool column j with
+    bit i set when j is in G_i; each new incumbent clears bits of them.
     G_i is decided on the integer table ``instance.int_cols``, by
     cross-multiplication, so it is exact.  A float b (pf and q-core on
     float data) then keeps every j whose float ratio exceeds b, and perhaps
@@ -227,20 +229,27 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
     # d_q(i, C')
     qth_smallest = _qth_smallest(q)
 
-    def hit_masks(columns, incumbent):
-        """Keep in each pool column the (i, d(i, j)) with j in G_i, and
-        return them with their agent masks and the number of agents with q
-        candidates in G_i at all.  b only rises, so each call filters the
-        columns the last one kept (the first keeps them as built, at 1).
-        r_ij > b = p/r is decided on the integer table, as
-        d_q(i, W) * r > p * d(i, j); no ratio is above an infinite b."""
-        if incumbent == math.inf:
-            columns = [[] for _ in columns]
-        elif incumbent is not None and bounded:
+    def hit_masks(hits, incumbent):
+        """Each pool column's agent mask, bit i set when j is in G_i, and
+        the number of agents with q candidates in G_i at all.  At 1 (no
+        incumbent) the masks are built from the integer table: r_ij >= 1
+        exactly when d_q(i, W) >= d(i, j).  b only rises, so each later
+        call keeps the set bits of the last masks with r_ij > b = p/r,
+        decided as d_q(i, W) * r > p * d(i, j); no ratio is above an
+        infinite b."""
+        if incumbent is None:
+            hits = [
+                sum(1 << i for i, (w, d) in enumerate(zip(iW, icol)) if w >= d) for icol in icols
+            ]
+        elif incumbent == math.inf:
+            hits = [0] * width
+        else:
             p, r = incumbent.as_integer_ratio()
-            columns = [[(i, d) for i, d in column if iW[i] * r > p * d] for column in columns]
-        hits = [sum(1 << i for i, _ in column) for column in columns]
-        return columns, hits, _reach(hits, range(width), q).bit_count()
+            hits = [
+                sum(1 << i for i in _bits(h) if iW[i] * r > p * icol[i])
+                for h, icol in zip(hits, icols)
+            ]
+        return hits, _reach(hits, range(width), q).bit_count()
 
     best = None
     reach = n
@@ -251,9 +260,7 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
             iW = dists_to_centers(instance, outcome, q, True)
             by_int = instance.int_cols
             icols = [by_int[j] for j in pool]
-        # r_ij >= 1 exactly when d_q(i, W) >= d(i, j)
-        columns = [[(i, d) for i, (w, d) in enumerate(zip(iW, icol)) if w >= d] for icol in icols]
-        columns, hits, reach = hit_masks(columns, None)
+        hits, reach = hit_masks(None, None)
     for size in range(q, min(size_cap, width, k) + 1):
         m = quota(n, k, size, gamma)
         need = 1 if summed else m
@@ -278,7 +285,7 @@ def deviation_scan(instance, outcome, pool, q, size_cap, gamma=1, summed=False):
             if group is not None and (value >= 1 if best is None else value > incumbent):
                 best = (value, csub, group)
                 if not unfiltered:
-                    columns, hits, reach = hit_masks(columns, value)
+                    hits, reach = hit_masks(hits, value)
                 elif value == math.inf:
                     reach = 0
                 if reach < need:

@@ -7,8 +7,10 @@ outcome satisfies rank-JR (Chen, Fain, Lyu & Munagala, ICML'19, with the
 source paper).  Each audit must pass and be ``exact``: a pass after an
 exhausted node budget proves nothing.
 
-Tier-1 runs the checks at 160 agents (``tests/test_proven_axioms.py``).
-For larger instances run this file with the agent counts to check:
+Tier-1 runs the checks at 160 agents (``tests/test_proven_axioms.py``),
+on the float ``euclidean`` family and on the exact, tied ``graph`` family.
+For larger instances run this file with the agent counts to check; it
+checks both families at each count:
 
     PYTHONPATH=src python tests/proven_axioms.py 640
 
@@ -33,6 +35,7 @@ PROVEN = (
     ("ea", expanding_approvals, (rank_jr_check, rank_pjr_plus_check, rank_pjr_check)),
     ("gc", greedy_capture, (rank_jr_check,)),
 )
+FAMILIES = ("euclidean", "graph")
 
 
 def proven_verdicts(n, family="euclidean", k=5, seed=1):
@@ -54,13 +57,14 @@ def holds(report):
 def main(argv):
     failed = 0
     for n in [int(arg) for arg in argv] or [640]:
-        for tag, notion, report, seconds in proven_verdicts(n):
-            ok = holds(report)
-            failed += not ok
-            print(
-                f"euclidean n={n} {tag} {notion}: {report.value} {report.status} "
-                f"in {seconds:.2f} s{'' if ok else '  NOT THE PROVEN VERDICT'}"
-            )
+        for family in FAMILIES:
+            for tag, notion, report, seconds in proven_verdicts(n, family):
+                ok = holds(report)
+                failed += not ok
+                print(
+                    f"{family} n={n} {tag} {notion}: {report.value} {report.status} "
+                    f"in {seconds:.2f} s{'' if ok else '  NOT THE PROVEN VERDICT'}"
+                )
     return 1 if failed else 0
 
 

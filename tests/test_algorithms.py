@@ -61,9 +61,10 @@ def test_gc_empty_candidates_error():
     space = MetricSpace.from_matrix([[0, 1], [1, 0]])
     inst = Instance(space, (0, 1), (0,), 1)
     empty = Instance(space, (0, 1), (), 1)
-    greedy_capture(inst)
-    with pytest.raises(ValueError, match="empty candidate"):
-        greedy_capture(empty)
+    for rule in (greedy_capture, expanding_approvals):
+        rule(inst)
+        with pytest.raises(ValueError, match="empty candidate"):
+            rule(empty)
 
 
 def test_ea_fig3a_outcome():

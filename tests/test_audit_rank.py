@@ -336,8 +336,9 @@ def test_uprf_matches_the_plain_clique_search():
         return hit, charged
 
     def plain_uprf(inst, W, budget):
-        sweep = inst.proximity_sweep
-        return audit_rank._threshold_scan(inst, W, Caps(budget), "uprf", plain, sweep, inst.k)
+        return audit_rank._threshold_scan(
+            inst, W, Caps(budget), "uprf", plain, inst.k, adjacency=inst.proximity_sweep
+        )
 
     for family, cases in (
         ("euclidean", ((12, 1), (36, 1), (52, 3))),
@@ -482,7 +483,7 @@ def test_incremental_rank_searches_match_the_plain_ones():
                     logs = ([], [])
                     reports = [
                         audit_rank._threshold_scan(
-                            inst, W, caps, notion, _logged(search, log), inst.approval_sweep, max_ell
+                            inst, W, caps, notion, _logged(search, log), max_ell
                         ).to_json_str()
                         for search, log in zip((fast, plain), logs)
                     ]

@@ -15,14 +15,18 @@ from fractions import Fraction
 import pytest
 
 from propclust import (
+    Instance,
+    MetricSpace,
     algorithms,
     audit_rank,
+    fixtures,
     pf_min_alpha,
     q_core_min_alpha,
     q_tc_min_alpha,
     tc_min_alpha,
 )
-from propclust.cli import NUMERIC_NOTIONS, RANK_NOTIONS, main, run_audit
+from propclust.cli import NUMERIC_NOTIONS, RANK_NOTIONS, main, parse_instance, run_audit
+from propclust.generate import instance_to_file
 from propclust.instance import Outcome
 
 RECORDED_DIGEST = "88afe9a0f36958cf47847b5a43e4ebe6d6d4990221d4675f9874a38403eed392"
@@ -241,3 +245,39 @@ def test_repro_all_byte_identical(fmt, capsys):
     assert main(["repro", "--case", "all", "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == RECORDED_REPRO_DIGESTS[fmt]
+
+
+def fraction_graphs():
+    """Small graphs with ``[num, den]`` edge weights, zero weights among
+    them, so that some path sums are Fraction(1)."""
+    weights = ([1, 2], [1, 3], [2, 3], [1, 6], [5, 6], 1, 0)
+    rng = random.Random(3)
+    graphs = []
+    for _ in range(12):
+        n = rng.randint(3, 7)
+        edges = [[rng.randrange(v), v, rng.choice(weights)] for v in range(1, n)]
+        edges += [[rng.randrange(v), v, rng.choice(weights)] for v in rng.sample(range(1, n), 2)]
+        agents = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
+        graphs.append(Instance(MetricSpace.from_graph(n, edges), agents, "all", rng.randint(1, 3)))
+    return graphs
+
+
+def test_fraction_distances_round_trip_through_an_instance_file():
+    # a matrix file writes each Fraction as [num, den]; parsing it back must
+    # keep every distance's value and every output's bytes, also where a
+    # Fraction(1) comes back as the int 1
+    unit_fractions = 0
+    for inst in [fixtures.near_tie_uprf()[0], *fraction_graphs()]:
+        obj = json.loads(json.dumps(instance_to_file(inst)))
+        back = parse_instance(obj)
+        rows = obj["metric"]["d"]
+        assert any(isinstance(x, list) for row in rows for x in row)
+        points = range(inst.space.num_points)
+        for a in points:
+            for b in points:
+                d = inst.space.dist(a, b)
+                assert back.space.dist(a, b) == d
+                unit_fractions += isinstance(d, Fraction) and d == 1
+        outputs = [json.dumps(corpus_outputs([i]), sort_keys=True) for i in (inst, back)]
+        assert outputs[0] == outputs[1]
+    assert unit_fractions
