@@ -41,6 +41,20 @@ index-ordered branch-and-bound clique search).  rank-jr is exactly the
 ell = 1 row of rank-pjr+: the ell = 1 cover set is the agents approving
 no center, and a center's approvers are never among them.
 
+rank-pjr+ implies rank-pjr, which implies rank-jr, and the four checks
+share one ladder per outcome, kept in the outcome slot's map
+(``Instance.outcome_slot``).  rank-pjr and dprf are one condition and
+one walk (``_ladder``): in each cover set it runs rank-pjr+'s search
+until that search's first hit, rank-pjr+'s own report, and the ell-set
+search from that cover set on; before that hit the plain ell-set scan
+finds nothing and charges nothing, so the walk's rank-pjr report is the
+plain scan's.  The slot keeps
+the walk's rank-pjr+ report and its rank-pjr report per node budget.  A
+kept rank-pjr+ pass answers rank-pjr, dprf and rank-jr, exact at any
+budget, and a kept ell = 1 rank-pjr+ violation answers rank-jr;
+otherwise rank-jr and rank-pjr+ scan on their own, each until its first
+hit, and rank-pjr+ keeps its report.  Every call returns a fresh report.
+
 Every search is exact: a violating group always induces a (target, cover
 set) pair, and any pair found certifies a violation.  Each search is
 ``search(masks, ell, m, umask, left, memo, entered, grew) -> (hit, nodes
@@ -59,7 +73,7 @@ is flagged, never silent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations, islice
 
@@ -82,7 +96,9 @@ class Caps:
     ran, and the frequent columns that rank-pjr and dprf keep in ``memo``
     change what they read, never which ell-sets they charge.  Cover-set
     upkeep (up to 2^|W| cover sets per threshold) and the frequent-column
-    upkeep are never charged.
+    upkeep are never charged.  rank-pjr's walk runs rank-pjr+'s uncharged
+    search before its ell-set search, so it charges the plain ell-set
+    scan's nodes; the outcome slot keeps its report per budget.
     """
 
     node_budget: int = 1_000_000
@@ -99,11 +115,18 @@ def thresholds(instance):
     return list(instance.approval_sweep.ys)
 
 
-def _threshold_scan(instance, outcome, caps, notion, search, max_ell, adjacency=None):
+def _threshold_scan(instance, outcome, caps, rungs, max_ell, adjacency=None):
     """Search every cover set for ell = 1 .. ``max_ell`` at every threshold
-    until ``search`` finds a violation: every threshold of the instance's
-    ``approval_sweep``, or with ``adjacency`` (uprf's
-    ``instance.proximity_sweep``) every threshold of that sweep.
+    until each of ``rungs``, a sequence of ``(notion, search)``, has found
+    its violation, and return their reports in that order: every
+    threshold of the instance's ``approval_sweep``, or with ``adjacency``
+    (uprf's ``instance.proximity_sweep``) every threshold of that sweep.
+
+    The rungs take turns: the first searches until its first hit, and the
+    next takes over in that same cover set, so the rank-pjr walk is
+    rank-pjr+'s search up to its hit and the ell-set search from there on.
+    A rung that ran out of budget or threshold reports a pass, flagged
+    ``cap_exhausted`` if the budget ran out, and so does every rung after it.
 
     A cover set is an (ell, m, Y) for a set Y of min(ell - 1, |W|) center
     positions, in combinations order within each ell: its umask holds the
@@ -148,8 +171,12 @@ def _threshold_scan(instance, outcome, caps, notion, search, max_ell, adjacency=
     is in ``grew``, and each later search of it follows a failed one.  So
     a search may keep state in ``memo`` from one run to the next: uprf its
     failed subtrees, rank-pjr and dprf their frequent columns; the
-    rank-jr and rank-pjr+ search reads only ``grew``.  The masks change in
-    place at the next threshold, and the scan builds the report, covered
+    rank-jr and rank-pjr+ search reads only ``grew``.  A rung that takes
+    over finds a cover set's ``memo`` as the rungs before it left it, and
+    replays their failed searches: a later rung may follow an earlier one
+    only where, up to the earlier one's hit, it would have failed in the
+    same cover sets and charged the same nodes.  The masks change in
+    place at the next threshold, and the scan builds each report, covered
     winners included, before that.
     """
     centers = instance.outcome_slot(outcome)[1]
@@ -167,6 +194,8 @@ def _threshold_scan(instance, outcome, caps, notion, search, max_ell, adjacency=
     else:
         ys, adjacent = adjacency.ys, _growing_masks(adjacency)
         approvals = _growing_masks(instance.approval_sweep, ys)
+    reports = []
+    notion, search = rungs[0]
     left = caps.node_budget
     for y, (balls, entered, grew) in zip(ys, approvals):
         # an agent can leave a umask only at a threshold where a center's ball grew
@@ -190,26 +219,38 @@ def _threshold_scan(instance, outcome, caps, notion, search, max_ell, adjacency=
                 if umask != cover[3]:
                     cover[3] = umask
                     spent = cover[4] = None
-            hit = None
-            if spent is None or entered & umask:
-                if grown is None:  # one ascending list per threshold
-                    grown = _bits(grew)
-                hit, spent = search(masks, ell, m, umask, left, memo, entered, grown)
-            left -= spent
-            if left < 0:
-                return AuditReport(notion, {}, PASS, None, CAP_EXHAUSTED)
-            if hit is None:
-                cover[4] = spent
-                continue
-            group, cands = hit
-            winners = tuple(c for c in centers if balls[c] & group)
-            violation = RankViolation(notion, y, ell, tuple(_bits(group)), cands, winners)
-            return AuditReport(notion, {}, VIOLATION, violation, EXACT)
+            run = spent is None or entered & umask
+            while True:
+                hit = None
+                if run:
+                    if grown is None:  # one ascending list per threshold
+                        grown = _bits(grew)
+                    hit, spent = search(masks, ell, m, umask, left, memo, entered, grown)
+                left -= spent
+                if left < 0:
+                    return _passes(reports, rungs, CAP_EXHAUSTED)
+                if hit is None:
+                    cover[4] = spent
+                    break
+                group, cands = hit
+                winners = tuple(c for c in centers if balls[c] & group)
+                violation = RankViolation(notion, y, ell, tuple(_bits(group)), cands, winners)
+                reports.append(AuditReport(notion, {}, VIOLATION, violation, EXACT))
+                if len(reports) == len(rungs):
+                    return reports
+                notion, search = rungs[len(reports)]
+                run = True
         if dropped:
             live = [cover for cover in live if cover[3]]
             if not live:
                 break
-    return AuditReport(notion, {}, PASS, None, EXACT)
+    return _passes(reports, rungs, EXACT)
+
+
+def _passes(reports, rungs, status):
+    """``reports`` followed by a pass with ``status`` for each rung that
+    has no report yet."""
+    return reports + [AuditReport(name, {}, PASS, None, status) for name, _ in rungs[len(reports):]]
 
 
 def _ell_sets(cols, ell, m, umask, left, memo, entered, grew):
@@ -221,11 +262,16 @@ def _ell_sets(cols, ell, m, umask, left, memo, entered, grew):
     kept in ``memo`` as a bitmask with the umask they were counted in.  A
     column's approvers inside an unchanged umask rise only where it grows,
     so only the ``grew`` columns can join, and the frequent ones are
-    counted again only where the umask lost agents.
+    counted again only where the umask lost agents.  A cover set's first
+    ell-set search, at the first threshold or where the rank-pjr walk
+    switches to it, counts every column.
     """
-    last, frequent = memo.get("frequent", (umask, 0))
-    if last != umask:
-        frequent = sum(1 << j for j in _bits(frequent) if (cols[j] & umask).bit_count() >= m)
+    if "frequent" in memo:
+        last, frequent = memo["frequent"]
+        if last != umask:
+            frequent = sum(1 << j for j in _bits(frequent) if (cols[j] & umask).bit_count() >= m)
+    else:
+        frequent, grew = 0, range(len(cols))
     for j in grew:
         if (cols[j] & umask).bit_count() >= m:
             frequent |= 1 << j
@@ -324,33 +370,79 @@ def _clique_at_least(adj, ell, m, umask, left, memo, entered, grew):
 
 def _unopened_scan(instance, outcome, notion, max_ell):
     search = partial(_unopened, outcome.centers)
-    return _threshold_scan(instance, outcome, Caps(), notion, search, max_ell)
+    return _threshold_scan(instance, outcome, Caps(), [(notion, search)], max_ell)[0]
+
+
+def _renamed(report, notion):
+    """A fresh report of ``notion`` with a kept report's verdict: its
+    witness, if any, names ``notion`` as its axiom."""
+    witness = report.witness
+    if witness is not None and witness.axiom != notion:
+        witness = replace(witness, axiom=notion)
+    return AuditReport(notion, {}, report.value, witness, report.status)
+
+
+def _ladder(instance, outcome, caps):
+    """The outcome's rank-pjr report at ``caps``, from its outcome slot.
+
+    A kept rank-pjr+ pass answers at once, exact at any budget.
+    Otherwise one walk per node budget runs rank-pjr+'s search until its
+    first hit and the ell-set search from that cover set on, and the slot
+    keeps both reports.  Before that hit no cover set holds ell columns
+    with a quota of its agents: centers outside Y have no approvers there
+    and Y holds at most ell - 1 centers, so one of ell such columns would
+    be an unopened candidate, a rank-pjr+ hit.  So the plain ell-set scan
+    would find nothing and charge nothing before it, and the walk gives
+    its report, witness and node charges."""
+    kept = instance.outcome_slot(outcome)[2]
+    plus = kept.get("rank-pjr+")
+    if plus is not None and plus.passed:
+        return plus
+    key = ("rank-pjr", caps.node_budget)
+    report = kept.get(key)
+    if report is None:
+        rungs = [("rank-pjr+", partial(_unopened, outcome.centers)), ("rank-pjr", _ell_sets)]
+        kept["rank-pjr+"], report = _threshold_scan(instance, outcome, caps, rungs, instance.k)
+        kept[key] = report
+    return report
 
 
 def rank_jr_check(instance, outcome):
     """At every threshold, no quota of agents shares an approved candidate
     while none of them approves any center: the ell = 1 row of rank-pjr+,
-    never charged, so the verdict is always exact."""
+    never charged, so the verdict is always exact.  A rank-pjr+ pass or
+    ell = 1 violation kept in the outcome slot is rank-jr's too; otherwise
+    it scans the ell = 1 row alone."""
+    plus = instance.outcome_slot(outcome)[2].get("rank-pjr+")
+    if plus is not None and (plus.passed or plus.witness.ell == 1):
+        return _renamed(plus, "rank-jr")
     return _unopened_scan(instance, outcome, "rank-jr", 1)
 
 
 def rank_pjr_check(instance, outcome, caps=Caps()):
     """At every threshold, every ell-large group sharing ell approved
-    candidates must collectively approve ell centers."""
-    return _threshold_scan(instance, outcome, caps, "rank-pjr", _ell_sets, instance.k)
+    candidates must collectively approve ell centers.  Read from, or run
+    as, the outcome's rank-pjr walk (``_ladder``), once per node budget."""
+    return _renamed(_ladder(instance, outcome, caps), "rank-pjr")
 
 
 def dprf_check(instance, outcome, caps=Caps()):
     """Discrete proportionally-representative fairness; same condition as
-    the ell-cohesive threshold axiom, reported under its own name."""
-    return _threshold_scan(instance, outcome, caps, "dprf", _ell_sets, instance.k)
+    the ell-cohesive threshold axiom, so it is rank-pjr's report from the
+    same walk, under its own name, its witness's axiom included."""
+    return _renamed(_ladder(instance, outcome, caps), "dprf")
 
 
 def rank_pjr_plus_check(instance, outcome):
     """Strengthening where a group sharing even one unselected candidate is
     already owed ell centers.  Never charged, so the verdict is always
-    exact."""
-    return _unopened_scan(instance, outcome, "rank-pjr+", instance.k)
+    exact.  Read from the outcome slot, or scanned until its first hit
+    and kept there."""
+    kept = instance.outcome_slot(outcome)[2]
+    report = kept.get("rank-pjr+")
+    if report is None:
+        report = kept["rank-pjr+"] = _unopened_scan(instance, outcome, "rank-pjr+", instance.k)
+    return _renamed(report, "rank-pjr+")
 
 
 def uprf_check(instance, outcome, caps=Caps()):
@@ -362,6 +454,5 @@ def uprf_check(instance, outcome, caps=Caps()):
     on the group side.
     """
     adjacency = instance.proximity_sweep
-    return _threshold_scan(
-        instance, outcome, caps, "uprf", _clique_at_least, instance.k, adjacency=adjacency
-    )
+    rungs = [("uprf", _clique_at_least)]
+    return _threshold_scan(instance, outcome, caps, rungs, instance.k, adjacency=adjacency)[0]

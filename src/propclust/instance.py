@@ -26,9 +26,10 @@ table per number kind, stored per candidate: the stored distances
 agent's neighbourhood radius for a count (``radii``) are built once per
 instance.  What depends on an outcome lives in one slot, the outcome
 audited last (``outcome_slot``): keyed by the center set, it holds the
-sorted centers, checked once, and the q-th center distances the audits
-have worked out so far.  Every audit of one outcome, and of an equal one
-audited next, reads them there; another center set replaces the slot.
+sorted centers, checked once, and the q-th center distances and rank
+reports the audits have worked out so far.  Every audit of one outcome,
+and of an equal one audited next, reads them there; another center set
+replaces the slot.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ class Instance:
     candidate map ``restricted``, and the rank audits' quota per ell
     ``quotas`` and cover-set templates ``cover_sets(size, ell)``, built
     once per center count and ell.  One slot, ``outcome_slot``, keeps the
-    checked centers and q-th center distances of the outcome audited last.
+    checked centers, q-th center distances and rank reports of the outcome
+    audited last.
     ``d_ac`` and ``d_aa`` read the metric space directly; the brute-force
     oracle uses only those, so it stays independent of the tables.
     """
@@ -247,9 +249,13 @@ class Instance:
 
     def outcome_slot(self, outcome):
         """The slot of the outcome audited last, keyed by its center set:
-        ``(center set, centers, dists)``, with the sorted centers, checked,
-        and the map from (q, table) to the q-th center distances that
-        ``audit_single.dists_to_centers`` fills.  An outcome with another
+        ``(center set, centers, kept)``, with the sorted centers, checked,
+        and the map of what the audits worked out for the outcome: from
+        (q, table) to the q-th center distances that
+        ``audit_single.dists_to_centers`` fills, and the rank ladder's
+        reports that ``audit_rank`` keeps, rank-pjr+'s under
+        ``"rank-pjr+"`` and rank-pjr's per node budget under
+        ``("rank-pjr", budget)``.  An outcome with another
         center set is checked and replaces the slot; one with a
         non-candidate center raises ValueError with ``validate``'s detail
         and leaves the slot as it was.  An equal outcome, however built,

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from functools import partial
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -26,6 +26,7 @@ from propclust.cli import parse_instance
 from propclust.generate import generate_family, random_instance
 from propclust.reports import CAP_EXHAUSTED
 from propclust import oracle as orc
+from test_byte_identity import budget_outcomes
 
 
 def test_thresholds_fig3b():
@@ -337,8 +338,8 @@ def test_uprf_matches_the_plain_clique_search():
 
     def plain_uprf(inst, W, budget):
         return audit_rank._threshold_scan(
-            inst, W, Caps(budget), "uprf", plain, inst.k, adjacency=inst.proximity_sweep
-        )
+            inst, W, Caps(budget), [("uprf", plain)], inst.k, adjacency=inst.proximity_sweep
+        )[0]
 
     for family, cases in (
         ("euclidean", ((12, 1), (36, 1), (52, 3))),
@@ -483,8 +484,8 @@ def test_incremental_rank_searches_match_the_plain_ones():
                     logs = ([], [])
                     reports = [
                         audit_rank._threshold_scan(
-                            inst, W, caps, notion, _logged(search, log), max_ell
-                        ).to_json_str()
+                            inst, W, caps, [(notion, _logged(search, log))], max_ell
+                        )[0].to_json_str()
                         for search, log in zip((fast, plain), logs)
                     ]
                     assert reports[0] == reports[1]
@@ -511,3 +512,40 @@ def test_rank_audits_at_320_agents_byte_identical():
             records.append([tag, check(inst, W).to_json()])
     text = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_EUCLIDEAN_320_DIGEST
+
+
+LADDER_CHECKS = (rank_jr_check, rank_pjr_check, rank_pjr_plus_check, dprf_check)
+
+
+def _ladder_call(check, inst, W, caps):
+    if check in (rank_jr_check, rank_pjr_plus_check):
+        return check(inst, W)
+    return check(inst, W, caps)
+
+
+def test_rank_reports_do_not_depend_on_call_order(small_corpus):
+    # one instance answers the four notions from its outcome slot in any
+    # order: each report equals the notion's lone call on a fresh instance,
+    # in all 24 orders at one budget and forward and reversed at the rest,
+    # and a report asked for twice is a fresh object each time
+    for idx, src in enumerate(small_corpus):
+        data = (src.space, src.agents, src.candidates, src.k)
+        for W in budget_outcomes(src, idx):
+            for budget in (0, 1, 7, 40, None):
+                caps = Caps() if budget is None else Caps(budget)
+                lone = [
+                    _ladder_call(check, Instance(*data), W, caps).to_json_str()
+                    for check in LADDER_CHECKS
+                ]
+                orders = list(permutations(range(4)))
+                if budget != 7:
+                    orders = [orders[0], orders[-1]]
+                for order in orders:
+                    inst = Instance(*data)
+                    for i in order:
+                        report = _ladder_call(LADDER_CHECKS[i], inst, W, caps)
+                        assert report.to_json_str() == lone[i], (idx, W, budget, order, i)
+                for check in LADDER_CHECKS:
+                    first, again = (_ladder_call(check, inst, W, caps) for _ in range(2))
+                    assert first == again and first is not again
+                    assert first.params is not again.params

@@ -73,15 +73,21 @@ RANK_CHECKS = (
 )
 
 
+def budget_outcomes(inst, idx):
+    """gc's and EA's outcomes of corpus instance ``idx`` and two drawn at
+    random for it."""
+    outcomes = [algorithms.greedy_capture(inst)[0], algorithms.expanding_approvals(inst)[0]]
+    for seed in (1, 2):
+        rng = random.Random(seed * 1000 + idx)
+        size = rng.randint(0, min(inst.k, inst.num_candidates))
+        outcomes.append(Outcome(rng.sample(range(inst.num_candidates), size)))
+    return outcomes
+
+
 def budget_outputs(corpus):
     records = []
     for idx, inst in enumerate(corpus):
-        outcomes = [algorithms.greedy_capture(inst)[0], algorithms.expanding_approvals(inst)[0]]
-        for seed in (1, 2):
-            rng = random.Random(seed * 1000 + idx)
-            size = rng.randint(0, min(inst.k, inst.num_candidates))
-            outcomes.append(Outcome(rng.sample(range(inst.num_candidates), size)))
-        for o, outcome in enumerate(outcomes):
+        for o, outcome in enumerate(budget_outcomes(inst, idx)):
             for budget in (0, 1, 7, 40):
                 caps = audit_rank.Caps(node_budget=budget)
                 for check in RANK_CHECKS:
