@@ -41,19 +41,18 @@ index-ordered branch-and-bound clique search).  rank-jr is exactly the
 ell = 1 row of rank-pjr+: the ell = 1 cover set is the agents approving
 no center, and a center's approvers are never among them.
 
-rank-pjr+ implies rank-pjr, which implies rank-jr, and the four checks
-share one ladder per outcome, kept in the outcome slot's map
+rank-pjr+ implies rank-pjr, so rank-pjr+, rank-pjr and dprf share one
+walk per outcome, kept in the outcome slot's map
 (``Instance.outcome_slot``).  rank-pjr and dprf are one condition and
 one walk (``_ladder``): in each cover set it runs rank-pjr+'s search
 until that search's first hit, rank-pjr+'s own report, and the ell-set
 search from that cover set on; before that hit the plain ell-set scan
 finds nothing and charges nothing, so the walk's rank-pjr report is the
-plain scan's.  The slot keeps
-the walk's rank-pjr+ report and its rank-pjr report per node budget.  A
-kept rank-pjr+ pass answers rank-pjr, dprf and rank-jr, exact at any
-budget, and a kept ell = 1 rank-pjr+ violation answers rank-jr;
-otherwise rank-jr and rank-pjr+ scan on their own, each until its first
-hit, and rank-pjr+ keeps its report.  Every call returns a fresh report.
+plain scan's.  The slot keeps the walk's rank-pjr+ report and its
+rank-pjr report per node budget: rank-pjr and dprf read the latter, and
+rank-pjr+ reads the former, or scans on its own until its first hit and
+keeps its report.  rank-jr always runs its own ell = 1 scan.  Every call
+returns a fresh report.
 
 Every search is exact: a violating group always induces a (target, cover
 set) pair, and any pair found certifies a violation.  Each search is
@@ -115,18 +114,19 @@ def thresholds(instance):
     return list(instance.approval_sweep.ys)
 
 
-def _threshold_scan(instance, outcome, caps, rungs, max_ell, adjacency=None):
+def _threshold_scan(instance, outcome, caps, notion, search, max_ell, adjacency=None, then=None):
     """Search every cover set for ell = 1 .. ``max_ell`` at every threshold
-    until each of ``rungs``, a sequence of ``(notion, search)``, has found
-    its violation, and return their reports in that order: every
-    threshold of the instance's ``approval_sweep``, or with ``adjacency``
-    (uprf's ``instance.proximity_sweep``) every threshold of that sweep.
+    until ``search`` finds a violation: every threshold of the instance's
+    ``approval_sweep``, or with ``adjacency`` (uprf's
+    ``instance.proximity_sweep``) every threshold of that sweep.
 
-    The rungs take turns: the first searches until its first hit, and the
-    next takes over in that same cover set, so the rank-pjr walk is
+    With ``then``, a follow-on ``(notion, search)``, the scan returns two
+    reports: ``search``'s, and ``then``'s, whose search takes over from
+    the first hit on, in that same cover set.  So the rank-pjr walk is
     rank-pjr+'s search up to its hit and the ell-set search from there on.
-    A rung that ran out of budget or threshold reports a pass, flagged
-    ``cap_exhausted`` if the budget ran out, and so does every rung after it.
+    A search that runs out of budget or threshold reports a pass, flagged
+    ``cap_exhausted`` if the budget ran out, and so does ``then`` if it
+    never took over.
 
     A cover set is an (ell, m, Y) for a set Y of min(ell - 1, |W|) center
     positions, in combinations order within each ell: its umask holds the
@@ -171,13 +171,12 @@ def _threshold_scan(instance, outcome, caps, rungs, max_ell, adjacency=None):
     is in ``grew``, and each later search of it follows a failed one.  So
     a search may keep state in ``memo`` from one run to the next: uprf its
     failed subtrees, rank-pjr and dprf their frequent columns; the
-    rank-jr and rank-pjr+ search reads only ``grew``.  A rung that takes
-    over finds a cover set's ``memo`` as the rungs before it left it, and
-    replays their failed searches: a later rung may follow an earlier one
-    only where, up to the earlier one's hit, it would have failed in the
-    same cover sets and charged the same nodes.  The masks change in
-    place at the next threshold, and the scan builds each report, covered
-    winners included, before that.
+    rank-jr and rank-pjr+ search reads only ``grew``.  ``then``'s search
+    finds a cover set's ``memo`` as the first search left it, and replays
+    its failed searches: it may follow only where, up to the first hit, it
+    would have failed in the same cover sets and charged the same nodes.
+    The masks change in place at the next threshold, and the scan builds
+    each report, covered winners included, before that.
     """
     centers = instance.outcome_slot(outcome)[1]
     everyone = (1 << instance.n) - 1
@@ -194,8 +193,15 @@ def _threshold_scan(instance, outcome, caps, rungs, max_ell, adjacency=None):
     else:
         ys, adjacent = adjacency.ys, _growing_masks(adjacency)
         approvals = _growing_masks(instance.approval_sweep, ys)
-    reports = []
-    notion, search = rungs[0]
+    pair = then is not None
+    first = None  # the first search's report, once ``then`` took over
+
+    def passed(status):
+        report = AuditReport(notion, {}, PASS, None, status)
+        if then is not None:  # the follow-on search never took over
+            return report, AuditReport(then[0], {}, PASS, None, status)
+        return (first, report) if pair else report
+
     left = caps.node_budget
     for y, (balls, entered, grew) in zip(ys, approvals):
         # an agent can leave a umask only at a threshold where a center's ball grew
@@ -228,29 +234,23 @@ def _threshold_scan(instance, outcome, caps, rungs, max_ell, adjacency=None):
                     hit, spent = search(masks, ell, m, umask, left, memo, entered, grown)
                 left -= spent
                 if left < 0:
-                    return _passes(reports, rungs, CAP_EXHAUSTED)
+                    return passed(CAP_EXHAUSTED)
                 if hit is None:
                     cover[4] = spent
                     break
                 group, cands = hit
                 winners = tuple(c for c in centers if balls[c] & group)
                 violation = RankViolation(notion, y, ell, tuple(_bits(group)), cands, winners)
-                reports.append(AuditReport(notion, {}, VIOLATION, violation, EXACT))
-                if len(reports) == len(rungs):
-                    return reports
-                notion, search = rungs[len(reports)]
+                report = AuditReport(notion, {}, VIOLATION, violation, EXACT)
+                if then is None:
+                    return (first, report) if pair else report
+                first, (notion, search), then = report, then, None
                 run = True
         if dropped:
             live = [cover for cover in live if cover[3]]
             if not live:
                 break
-    return _passes(reports, rungs, EXACT)
-
-
-def _passes(reports, rungs, status):
-    """``reports`` followed by a pass with ``status`` for each rung that
-    has no report yet."""
-    return reports + [AuditReport(name, {}, PASS, None, status) for name, _ in rungs[len(reports):]]
+    return passed(EXACT)
 
 
 def _ell_sets(cols, ell, m, umask, left, memo, entered, grew):
@@ -370,7 +370,7 @@ def _clique_at_least(adj, ell, m, umask, left, memo, entered, grew):
 
 def _unopened_scan(instance, outcome, notion, max_ell):
     search = partial(_unopened, outcome.centers)
-    return _threshold_scan(instance, outcome, Caps(), [(notion, search)], max_ell)[0]
+    return _threshold_scan(instance, outcome, Caps(), notion, search, max_ell)
 
 
 def _renamed(report, notion):
@@ -385,37 +385,28 @@ def _renamed(report, notion):
 def _ladder(instance, outcome, caps):
     """The outcome's rank-pjr report at ``caps``, from its outcome slot.
 
-    A kept rank-pjr+ pass answers at once, exact at any budget.
-    Otherwise one walk per node budget runs rank-pjr+'s search until its
-    first hit and the ell-set search from that cover set on, and the slot
-    keeps both reports.  Before that hit no cover set holds ell columns
+    One walk per node budget runs rank-pjr+'s search until its first hit
+    and the ell-set search from that cover set on, and the slot keeps
+    both reports.  Before that hit no cover set holds ell columns
     with a quota of its agents: centers outside Y have no approvers there
     and Y holds at most ell - 1 centers, so one of ell such columns would
     be an unopened candidate, a rank-pjr+ hit.  So the plain ell-set scan
     would find nothing and charge nothing before it, and the walk gives
     its report, witness and node charges."""
     kept = instance.outcome_slot(outcome)[2]
-    plus = kept.get("rank-pjr+")
-    if plus is not None and plus.passed:
-        return plus
     key = ("rank-pjr", caps.node_budget)
-    report = kept.get(key)
-    if report is None:
-        rungs = [("rank-pjr+", partial(_unopened, outcome.centers)), ("rank-pjr", _ell_sets)]
-        kept["rank-pjr+"], report = _threshold_scan(instance, outcome, caps, rungs, instance.k)
-        kept[key] = report
-    return report
+    if key not in kept:
+        unopened = partial(_unopened, outcome.centers)
+        kept["rank-pjr+"], kept[key] = _threshold_scan(
+            instance, outcome, caps, "rank-pjr+", unopened, instance.k, then=("rank-pjr", _ell_sets)
+        )
+    return kept[key]
 
 
 def rank_jr_check(instance, outcome):
     """At every threshold, no quota of agents shares an approved candidate
     while none of them approves any center: the ell = 1 row of rank-pjr+,
-    never charged, so the verdict is always exact.  A rank-pjr+ pass or
-    ell = 1 violation kept in the outcome slot is rank-jr's too; otherwise
-    it scans the ell = 1 row alone."""
-    plus = instance.outcome_slot(outcome)[2].get("rank-pjr+")
-    if plus is not None and (plus.passed or plus.witness.ell == 1):
-        return _renamed(plus, "rank-jr")
+    never charged, so the verdict is always exact."""
     return _unopened_scan(instance, outcome, "rank-jr", 1)
 
 
@@ -454,5 +445,6 @@ def uprf_check(instance, outcome, caps=Caps()):
     on the group side.
     """
     adjacency = instance.proximity_sweep
-    rungs = [("uprf", _clique_at_least)]
-    return _threshold_scan(instance, outcome, caps, rungs, instance.k, adjacency=adjacency)[0]
+    return _threshold_scan(
+        instance, outcome, caps, "uprf", _clique_at_least, instance.k, adjacency=adjacency
+    )

@@ -338,8 +338,8 @@ def test_uprf_matches_the_plain_clique_search():
 
     def plain_uprf(inst, W, budget):
         return audit_rank._threshold_scan(
-            inst, W, Caps(budget), [("uprf", plain)], inst.k, adjacency=inst.proximity_sweep
-        )[0]
+            inst, W, Caps(budget), "uprf", plain, inst.k, adjacency=inst.proximity_sweep
+        )
 
     for family, cases in (
         ("euclidean", ((12, 1), (36, 1), (52, 3))),
@@ -484,8 +484,8 @@ def test_incremental_rank_searches_match_the_plain_ones():
                     logs = ([], [])
                     reports = [
                         audit_rank._threshold_scan(
-                            inst, W, caps, [(notion, _logged(search, log))], max_ell
-                        )[0].to_json_str()
+                            inst, W, caps, notion, _logged(search, log), max_ell
+                        ).to_json_str()
                         for search, log in zip((fast, plain), logs)
                     ]
                     assert reports[0] == reports[1]
