@@ -29,10 +29,14 @@ where an agent of it enters a ball of a center outside Y, and one that
 falls below its quota is dropped for good.  A failed search whose cover
 set and masks inside it are unchanged is not run again; the scan charges
 the nodes it charged last time, so a budget runs out exactly where
-re-running it would.  A search that does run picks up where the cover
-set's last one failed: the approval searches read only the columns that
-grew since, and uprf replays each failed subtree whose edges are
-unchanged, within a search and across thresholds.  Each axiom supplies
+re-running it would.  An approval search is run again only where one of
+its cover set's agents entered a ball, and uprf's only where two of them
+entered: its search reads only edges inside the cover set, and a new edge
+enters with both its ends.  A search that does run picks up where the
+cover set's last one failed: the approval searches read only the columns
+that grew since, and uprf charges each failed subtree whose edges are
+unchanged in place of entering it, within a search and across
+thresholds.  Each axiom supplies
 only a search inside one cover set, and the scan builds the violation
 from what it finds: rank-pjr and dprf look for ell candidates that a
 quota of the cover set all approve, rank-pjr+ for one such unopened
@@ -97,7 +101,11 @@ class Caps:
     upkeep (up to 2^|W| cover sets per threshold) and the frequent-column
     upkeep are never charged.  rank-pjr's walk runs rank-pjr+'s uncharged
     search before its ell-set search, so it charges the plain ell-set
-    scan's nodes; the outcome slot keeps its report per budget.
+    scan's nodes; the outcome slot keeps its report per budget.  A uprf
+    search that is not run again, because fewer than two of its cover
+    set's agents entered, and a stored clique subtree charged in place of
+    being entered, charge what the plain search would, so the budget runs
+    out at the same node.
     """
 
     node_budget: int = 1_000_000
@@ -106,6 +114,11 @@ class Caps:
         object.__setattr__(self, "node_budget", _as_id(self.node_budget, "node_budget"))
         if self.node_budget < 0:
             raise ValueError(f"node_budget must be at least 0, got {self.node_budget}")
+
+
+# the default budget: the checks' signature default, and what the uncharged
+# rank-jr and rank-pjr+ scan is handed
+_CAPS = Caps()
 
 
 def thresholds(instance):
@@ -163,10 +176,16 @@ def _threshold_scan(instance, outcome, caps, notion, search, max_ell, adjacency=
     the same while neither its umask nor those bits change.  The scan
     therefore replays a failed search whose umask is unchanged and whose
     walk added no bit inside that umask: it charges the nodes the search
-    charged last time, and runs out where the search would have.  So
-    between two searches of a cover set, only the later threshold's
-    ``entered`` can have added bits inside the earlier one's umask, and
-    only its ``grew`` columns can have gained agents there.  Every cover
+    charged last time, and runs out where the search would have.  For the
+    approval walk that is where no agent of the umask is in ``entered``.
+    With ``adjacency`` it is where at most one is: the search reads an
+    agent's mask only inside the umask, and an edge enters the symmetric
+    adjacency with both its ends, so one agent of the umask entering alone
+    gained edges only to agents outside it.  So between two searches of a
+    cover set, only the later threshold's ``entered`` can have added bits
+    inside the earlier one's umask, and only its ``grew`` columns can have
+    gained agents there; with ``adjacency``, where the umask is unchanged,
+    two of its agents are in that ``entered``.  Every cover
     set is searched at the first threshold, where every non-empty column
     is in ``grew``, and each later search of it follows a failed one.  So
     a search may keep state in ``memo`` from one run to the next: uprf its
@@ -188,11 +207,15 @@ def _threshold_scan(instance, outcome, caps, notion, search, max_ell, adjacency=
         for outside in instance.cover_sets(len(centers), ell)
     ]
     cmask = sum(1 << c for c in centers)
+    # a failed search reads the same again while at most ``lone`` of its
+    # umask's agents entered: a new adjacency edge enters with both its ends
     if adjacency is None:
         ys, approvals = instance.approval_sweep.ys, _growing_masks(instance.approval_sweep)
+        lone = 0
     else:
         ys, adjacent = adjacency.ys, _growing_masks(adjacency)
         approvals = _growing_masks(instance.approval_sweep, ys)
+        lone = 1
     pair = then is not None
     first = None  # the first search's report, once ``then`` took over
 
@@ -225,7 +248,7 @@ def _threshold_scan(instance, outcome, caps, notion, search, max_ell, adjacency=
                 if umask != cover[3]:
                     cover[3] = umask
                     spent = cover[4] = None
-            run = spent is None or entered & umask
+            run = spent is None or (entered & umask).bit_count() > lone
             while True:
                 hit = None
                 if run:
@@ -314,63 +337,68 @@ def _clique_at_least(adj, ell, m, umask, left, memo, entered, grew):
     entered and stopping once it has charged more than ``left``.  A node's
     subtree depends only on ``need``, the agents it still needs, on
     ``avail``, the agents it may add, and on the edges inside ``avail``,
-    and edges are only ever added.  So every failed subtree, however
-    small, is stored as ``(need, avail): nodes charged``, and a node whose
-    key is stored is not entered: its nodes are charged, and a budget runs
-    out where the subtree would have run it out.  Keys this search stored
+    and edges are only ever added.  So every failed subtree below the
+    root, however small, is stored as ``(need, avail): nodes charged``,
+    and a child whose key is stored is not entered: the parent's branch
+    loop charges its nodes in place, and a budget runs out where the
+    subtree would have run it out.  Keys this search stored (``fresh``)
     are reused as they are.  ``memo`` holds the keys the cover set's latest
-    search looked up or stored; one is reused while fewer than two bits of
+    search stored or reused; one is reused while fewer than two bits of
     ``entered`` lie in its ``avail``, since a new edge inside it would set
     both of its ends.  A failed search leaves its own keys in ``memo``.
-    Found subtrees are never stored and the branching order is the plain
-    search's, so the clique found and the node where a budget runs out are
-    the plain search's too.
+    The root is always entered: the scan runs a search again only where
+    its umask changed or two of its agents entered, and either way the
+    root's key is not reusable.  Found subtrees are never stored and the
+    branching order is the plain search's, so the clique found and the
+    node where a budget runs out are the plain search's too.
     """
     charged = 0
     fresh = {}
     stack = []  # the suspended ancestors: (chosen, need, avail, count, key, charged on entry)
-    chosen, need, avail, count = 0, m, umask, umask.bit_count()
+    chosen, need, avail, count, key = 0, m, umask, umask.bit_count(), None
     while True:
-        # enter a node: replay its stored subtree, or charge it
-        key = (need, avail)
-        spent = fresh.get(key)
-        if spent is None and key in memo and (avail & entered).bit_count() < 2:
-            spent = memo[key]
         start = charged
-        charged += 1 if spent is None else spent
+        charged += 1
         if charged > left:
             return None, charged
-        if spent is not None:
-            avail = 0
-        elif need <= 0:
+        if need <= 0:
             return (chosen, ()), charged
-        # branch from the innermost open node, backing up past the
-        # nodes with no agent left to add
+        # branch from the innermost open node, charging the stored children
+        # in place and backing up past the nodes with too few agents left to
+        # add; count >= need >= 1 leaves an agent in avail
         while True:
-            while avail and count >= need:
+            while count >= need:
                 low = avail & -avail
                 avail ^= low
                 count -= 1
                 nbrs = avail & adj[low.bit_length() - 1]
                 grow = nbrs.bit_count()
                 if grow >= need - 1:
-                    break
+                    child = (need - 1, nbrs)
+                    spent = fresh.get(child)
+                    if spent is None and child in memo and (nbrs & entered).bit_count() < 2:
+                        spent = fresh[child] = memo[child]
+                    if spent is None:
+                        break
+                    charged += spent
+                    if charged > left:
+                        return None, charged
             else:
-                fresh[key] = charged - start
                 if not stack:
                     memo.clear()
                     memo.update(fresh)
                     return None, charged
+                fresh[key] = charged - start
                 chosen, need, avail, count, key, start = stack.pop()
                 continue
             stack.append((chosen, need, avail, count, key, start))
-            chosen, need, avail, count = chosen | low, need - 1, nbrs, grow
+            chosen, need, avail, count, key = chosen | low, need - 1, nbrs, grow, child
             break
 
 
 def _unopened_scan(instance, outcome, notion, max_ell):
     search = partial(_unopened, outcome.centers)
-    return _threshold_scan(instance, outcome, Caps(), notion, search, max_ell)
+    return _threshold_scan(instance, outcome, _CAPS, notion, search, max_ell)
 
 
 def _renamed(report, notion):
@@ -410,14 +438,14 @@ def rank_jr_check(instance, outcome):
     return _unopened_scan(instance, outcome, "rank-jr", 1)
 
 
-def rank_pjr_check(instance, outcome, caps=Caps()):
+def rank_pjr_check(instance, outcome, caps=_CAPS):
     """At every threshold, every ell-large group sharing ell approved
     candidates must collectively approve ell centers.  Read from, or run
     as, the outcome's rank-pjr walk (``_ladder``), once per node budget."""
     return _renamed(_ladder(instance, outcome, caps), "rank-pjr")
 
 
-def dprf_check(instance, outcome, caps=Caps()):
+def dprf_check(instance, outcome, caps=_CAPS):
     """Discrete proportionally-representative fairness; same condition as
     the ell-cohesive threshold axiom, so it is rank-pjr's report from the
     same walk, under its own name, its witness's axiom included."""
@@ -436,7 +464,7 @@ def rank_pjr_plus_check(instance, outcome):
     return _renamed(report, "rank-pjr+")
 
 
-def uprf_check(instance, outcome, caps=Caps()):
+def uprf_check(instance, outcome, caps=_CAPS):
     """Diameter-anchored representation: any ell-large group must approve
     ell centers at the radius of its own diameter.
 

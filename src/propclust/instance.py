@@ -185,8 +185,11 @@ class Instance:
         """The sweep over the agent-agent distances (and 0): per agent, a
         mask of the agents within the threshold, itself included.  uprf is
         unaffected: its clique search drops an agent from ``avail`` before
-        reading its adjacency, and self pairs enter at y = 0, where no
-        search is replayed.  The table is symmetric, so which index is the
+        reading its adjacency, and self pairs, which enter with one end
+        only, enter at y = 0, where every cover set is searched and none
+        is replayed.  After it, every pair that enters is an edge and sets
+        both of its ends in ``entered``, which uprf's scan and clique
+        search rely on.  The table is symmetric, so which index is the
         mask and which the bit does not matter.  Its diagonal makes the
         first threshold a zero, which is set to the int 0, so co-located
         float points cannot make it 0.0."""

@@ -344,6 +344,8 @@ def test_uprf_matches_the_plain_clique_search():
     for family, cases in (
         ("euclidean", ((12, 1), (36, 1), (52, 3))),
         ("graph", ((12, 1), (44, 2), (52, 3))),
+        # two co-located blocks: every edge enters at y = 0 or y = 1
+        ("blocks", ((12, 0), (20, 0))),
     ):
         for n, seed in cases:
             inst = parse_instance(generate_family(family, n, 5, seed))
@@ -359,6 +361,35 @@ def test_uprf_matches_the_plain_clique_search():
                 for budget in sorted({0, 1, used // 2, max(used - 1, 0), used}):
                     expected = plain_uprf(inst, W, budget).to_json_str()
                     assert uprf_check(inst, W, Caps(budget)).to_json_str() == expected
+
+
+def test_uprf_reruns_a_search_only_where_an_edge_entered_its_umask():
+    # the clique search reads only edges inside the umask, and a new edge
+    # enters with both its ends: so a cover set's failed search runs again
+    # only where its umask lost agents or two of its agents entered, on
+    # float data (one edge per threshold) and on tied graph thresholds
+    for family, n, seed in (("euclidean", 36, 1), ("graph", 44, 2)):
+        inst = parse_instance(generate_family(family, n, 5, seed))
+        W, _ = greedy_capture(inst)
+        log = []
+
+        def logged(adj, ell, m, umask, left, memo, entered, grew):
+            log.append((memo, umask, entered))
+            return audit_rank._clique_at_least(adj, ell, m, umask, left, memo, entered, grew)
+
+        report = audit_rank._threshold_scan(
+            inst, W, Caps(), "uprf", logged, inst.k, adjacency=inst.proximity_sweep
+        )
+        assert report.to_json_str() == uprf_check(inst, W).to_json_str()
+        last = {}  # a cover set's memo is its own for the whole scan
+        reruns = 0
+        for memo, umask, entered in log:
+            before = last.get(id(memo))
+            if before is not None and before == umask:
+                assert (entered & umask).bit_count() >= 2
+                reruns += 1
+            last[id(memo)] = umask
+        assert reruns > 0
 
 
 @pytest.mark.parametrize("budget", [-1, -10**6, 1.5, 2.0, True, False, "10", None])

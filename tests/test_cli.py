@@ -427,6 +427,30 @@ def test_audit_require_exact_exit3(tmp_path, capsys):
     assert obj["status"] == "cap_exhausted"
 
 
+def test_audit_uprf_require_exact_exit3_at_the_node_budget(tmp_path, capsys):
+    # gen -> solve -> audit: the n = 80 uprf audit spends the default node
+    # budget and passes, flagged, so --require-exact exits 3
+    assert run_cli("gen", "--family", "euclidean", "--n", "80", "--k", "5", "--seed", "1") == 0
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(capsys.readouterr().out)
+    assert run_cli("solve", "--alg", "gc", "--input", str(inst_path)) == 0
+    w_path = tmp_path / "w.json"
+    w_path.write_text(capsys.readouterr().out)
+    code = run_cli(
+        "audit",
+        "--notion",
+        "uprf",
+        "--require-exact",
+        "--input",
+        str(inst_path),
+        "--outcome",
+        str(w_path),
+    )
+    assert code == 3
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["status"], obj["value"]) == ("cap_exhausted", "pass")
+
+
 def test_audit_gamma_rational(tmp_path, capsys):
     from propclust import fixtures
 
